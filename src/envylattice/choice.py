@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from .model import (
     InvariantViolation,
     Market,
-    ResponsiveDoctor,
     TableDoctor,
     UnknownIdError,
     canon,
@@ -43,50 +42,45 @@ PROPERTIES = (
 
 
 def doctor_choose(market: Market, doctor: str, S) -> frozenset:
-    """C_d(S): evaluate the doctor's choice on S & X_d.
+    """C_d(S): the doctor's choice on S & X_d, memoized per market.
 
-    The empty restriction always chooses the empty set.  For table
-    doctors a missing row is a hard fault: validation proves totality, so
-    a miss means the table was mutated after construction.
+    The empty restriction always chooses the empty set.
     """
-    spec = market.doctor_by_id.get(doctor)
-    if spec is None:
+    if doctor not in market.doctor_by_id:
         raise UnknownIdError(f"unknown doctor id: {doctor!r}")
     own = frozenset(S) & market.doctor_contracts[doctor]
     if not own:
         return frozenset()
     key = ("D", doctor, own)
     cached = market._choice_cache.get(key)
-    if cached is not None:
-        return cached
-    rule = spec.choice
+    if cached is None:
+        cached = market._choice_cache[key] = evaluate_doctor(market, doctor, own)
+    return cached
+
+
+def evaluate_doctor(market: Market, doctor: str, own: frozenset) -> frozenset:
+    """C_d on a nonempty subset of X_d, uncached.
+
+    This is the one definition of each doctor rule: ``doctor_choose``
+    memoizes it and the axiom checkers validate it.  For table doctors a
+    missing row is a hard fault: validation proves totality, so a miss
+    means the table was mutated after construction.
+    """
+    rule = market.doctor_by_id[doctor].choice
     if isinstance(rule, TableDoctor):
         try:
-            chosen = rule.table[own]
+            return rule.table[own]
         except KeyError:
             raise InvariantViolation(
                 f"choice table for doctor {doctor} has no row for {canon(own)}"
             ) from None
-    else:
-        chosen = _responsive_choose(market, rule, own)
-    market._choice_cache[key] = chosen
-    return chosen
-
-
-def _responsive_choose(market: Market, rule: ResponsiveDoctor, own: frozenset) -> frozenset:
-    taken: list[str] = []
-    used_hospitals: set[str] = set()
+    taken: dict[str, str] = {}  # hospital -> its best offered contract
     for cid in rule.ranking:
-        if len(taken) >= rule.quota:
-            break
-        if cid not in own:
-            continue
-        h = market.contract_by_id[cid].hospital
-        if h in used_hospitals:
-            continue
-        used_hospitals.add(h)
-        taken.append(cid)
-    return frozenset(taken)
+        if cid in own:
+            if len(taken) >= rule.quota:
+                break
+            taken.setdefault(market.contract_by_id[cid].hospital, cid)
+    return frozenset(taken.values())
 
 
 def hospital_choose(market: Market, hospital: str, S) -> frozenset:
@@ -176,53 +170,22 @@ class ValidationLimits:
 DEFAULT_LIMITS = ValidationLimits()
 
 
-class _MaskEnv:
-    """Bitmask view of one doctor's choice function.
+class _Memo(dict):
+    """A dict that computes each missing key once, with ``fill``."""
 
-    Subsets of X_d are masks over a fixed sorted contract order; choices
-    are evaluated through ``doctor_choose`` and stored as masks so the
-    checkers run on integer operations only.
-    """
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
 
-    def __init__(self, market: Market, doctor: str, masks):
-        self.contracts = canon(market.doctor_contracts[doctor])
-        self.index = {cid: i for i, cid in enumerate(self.contracts)}
-        self.market = market
-        self.doctor = doctor
-        self.choice: dict[int, int] = {}
-        for mask in masks:
-            self.choice[mask] = self.eval(mask)
-
-    def eval(self, mask: int) -> int:
-        got = self.choice.get(mask)
-        if got is not None:
-            return got
-        S = frozenset(
-            cid for i, cid in enumerate(self.contracts) if mask >> i & 1
-        )
-        chosen = doctor_choose(self.market, self.doctor, S)
-        out = 0
-        for cid in chosen:
-            out |= 1 << self.index[cid]
-        self.choice[mask] = out
-        return out
-
-    def ids(self, mask: int) -> tuple[str, ...]:
-        return tuple(cid for i, cid in enumerate(self.contracts) if mask >> i & 1)
-
-    def witness(self, prop: str, *masks: int) -> PropertyWitness:
-        return PropertyWitness(
-            prop=prop,
-            subsets=tuple(self.ids(m) for m in masks),
-            choices=tuple(self.ids(self.eval(m)) for m in masks),
-        )
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
-def _subset_masks(market: Market, doctor: str, limits: ValidationLimits):
+def _subset_masks(doctor: str, n: int, limits: ValidationLimits):
     """All subset masks when exhaustive, a seeded sample otherwise."""
-    n = len(market.doctor_contracts[doctor])
     if n <= limits.subset_cap:
-        return list(range(1 << n)), False
+        return range(1 << n), False
     rng = random.Random(f"axiom-check:{doctor}:{n}")
     masks = {0, (1 << n) - 1}
     # a tight samples limit can exceed the whole mask space
@@ -232,66 +195,127 @@ def _subset_masks(market: Market, doctor: str, limits: ValidationLimits):
     return sorted(masks), True
 
 
+def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict:
+    """Every axiom on one doctor from one table of choices.
+
+    Subsets of X_d are bitmasks over the sorted contract order, and each
+    is evaluated at most once.  One sweep over the masks checks distinct
+    hospitals, substitutability, consistency and LAD together; path
+    independence then reads the same table.  The witness of each property
+    is its first violation in the order masks ascending, then removed bit
+    ascending, or pairs (a, b) with a major for path independence.
+    """
+    contracts = canon(market.doctor_contracts[doctor])
+    n = len(contracts)
+    bit = {cid: 1 << i for i, cid in enumerate(contracts)}
+    hospital_of = [market.contract_by_id[cid].hospital for cid in contracts]
+    # the ids of a mask are concatenated from per-byte lookup tables
+    byte_ids = [
+        [tuple(c for i, c in enumerate(contracts[lo:lo + 8]) if v >> i & 1)
+         for v in range(1 << min(8, n - lo))]
+        for lo in range(0, n, 8)
+    ]
+
+    def ids(mask: int) -> tuple[str, ...]:
+        out: tuple[str, ...] = ()
+        for table in byte_ids:
+            out, mask = out + table[mask & 255], mask >> 8
+        return out
+
+    def choose(mask: int) -> int:
+        chosen = evaluate_doctor(market, doctor, frozenset(ids(mask))) if mask else ()
+        return sum(map(bit.__getitem__, chosen))
+
+    C = _Memo(choose)
+    distinct_ok = _Memo(
+        lambda c: len({h for i, h in enumerate(hospital_of) if c >> i & 1}) == c.bit_count()
+    )
+    found: dict[str, tuple[int, ...]] = {}
+    masks, sampled = _subset_masks(doctor, n, limits)
+    for m in masks:
+        c = C[m]
+        if (c & ~m or not distinct_ok[c]) and "distinct-hospitals" not in found:
+            found["distinct-hospitals"] = (m,)
+        bits = m
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            s = C[m ^ low]
+            if s == c:
+                continue  # no removal property can fail
+            if c & (m ^ low) & ~s and "substitutability" not in found:
+                found["substitutability"] = (m, m ^ low)
+            if not c & low and "consistency" not in found:
+                found["consistency"] = (m, m ^ low)
+            if s.bit_count() > c.bit_count() and "lad" not in found:
+                found["lad"] = (m, m ^ low)
+        if len(found) == 4:
+            break
+
+    # Path independence.  A row with C(a) == a cannot fail, and when
+    # C(a) <= a, (a, b) compares the same two choices as (a, b - C(a)),
+    # which comes no later.
+    pairs_sampled = n > limits.pair_cap
+    if not pairs_sampled:
+        full = range(1 << n)
+        table = [C[m] for m in full]  # list indexing beats dict lookup here
+        free = _Memo(lambda ca: [b for b in full if not b & ca])
+        for a in full:
+            ca = table[a]
+            if ca == a:
+                continue
+            bs = full if ca & ~a else free[ca]
+            b = next((b for b in bs if table[a | b] != table[ca | b]), None)
+            if b is not None:
+                found["path-independence"] = (a, b)
+                break
+    else:
+        rng = random.Random(f"axiom-check-pairs:{doctor}:{n}")
+        for _ in range(limits.samples):
+            a, b = rng.getrandbits(n), rng.getrandbits(n)
+            ca = C[a]
+            if ca != a and C[a | b] != C[ca | b]:
+                found["path-independence"] = (a, b)
+                break
+
+    outcomes = {}
+    for prop in PROPERTIES:
+        masks = found.get(prop, ())
+        witness = PropertyWitness(prop, tuple(map(ids, masks)), tuple(ids(C[m]) for m in masks))
+        is_pairs = prop == "path-independence"
+        outcomes[prop] = CheckOutcome(
+            prop, not masks, witness if masks else None, pairs_sampled if is_pairs else sampled
+        )
+    return outcomes
+
+
+def _outcome(market: Market, doctor: str, limits: ValidationLimits, prop: str) -> CheckOutcome:
+    """One axiom's outcome, from a sweep made once per (doctor, limits)."""
+    key = (doctor, limits)
+    if key not in market._axiom_cache:
+        market._axiom_cache[key] = _check_all(market, doctor, limits)
+    return market._axiom_cache[key][prop]
+
+
 def check_distinct_hospitals(
     market: Market, doctor: str, limits: ValidationLimits = DEFAULT_LIMITS
 ) -> CheckOutcome:
     """C(S) <= S, and no two chosen contracts name the same hospital."""
-    masks, sampled = _subset_masks(market, doctor, limits)
-    env = _MaskEnv(market, doctor, masks)
-    for mask in masks:
-        chosen = env.choice[mask]
-        if chosen & ~mask:
-            return CheckOutcome(
-                "distinct-hospitals", False, env.witness("distinct-hospitals", mask), sampled
-            )
-        hospitals = [
-            market.contract_by_id[cid].hospital for cid in env.ids(chosen)
-        ]
-        if len(hospitals) != len(set(hospitals)):
-            return CheckOutcome(
-                "distinct-hospitals", False, env.witness("distinct-hospitals", mask), sampled
-            )
-    return CheckOutcome("distinct-hospitals", True, None, sampled)
+    return _outcome(market, doctor, limits, "distinct-hospitals")
 
 
 def check_substitutable(
     market: Market, doctor: str, limits: ValidationLimits = DEFAULT_LIMITS
 ) -> CheckOutcome:
     """Chosen contracts stay chosen when other contracts disappear."""
-    masks, sampled = _subset_masks(market, doctor, limits)
-    env = _MaskEnv(market, doctor, masks)
-    for mask in masks:
-        chosen = env.choice[mask]
-        bits = mask
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            sub = mask ^ low
-            if (chosen & sub) & ~env.eval(sub):
-                return CheckOutcome(
-                    "substitutability", False, env.witness("substitutability", mask, sub), sampled
-                )
-    return CheckOutcome("substitutability", True, None, sampled)
+    return _outcome(market, doctor, limits, "substitutability")
 
 
 def check_consistency(
     market: Market, doctor: str, limits: ValidationLimits = DEFAULT_LIMITS
 ) -> CheckOutcome:
     """Dropping unchosen contracts never changes the choice."""
-    masks, sampled = _subset_masks(market, doctor, limits)
-    env = _MaskEnv(market, doctor, masks)
-    for mask in masks:
-        chosen = env.choice[mask]
-        bits = mask & ~chosen
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            sub = mask ^ low
-            if env.eval(sub) != chosen:
-                return CheckOutcome(
-                    "consistency", False, env.witness("consistency", mask, sub), sampled
-                )
-    return CheckOutcome("consistency", True, None, sampled)
+    return _outcome(market, doctor, limits, "consistency")
 
 
 def check_path_independence(
@@ -302,44 +326,14 @@ def check_path_independence(
     Derived cross-check: substitutability plus consistency imply it, so a
     failure here flags an internal contradiction in the other checks.
     """
-    n = len(market.doctor_contracts[doctor])
-    if n <= limits.pair_cap:
-        pairs = ((a, b) for a in range(1 << n) for b in range(1 << n))
-        sampled = False
-    else:
-        rng = random.Random(f"axiom-check-pairs:{doctor}:{n}")
-        pairs = (
-            (rng.getrandbits(n), rng.getrandbits(n)) for _ in range(limits.samples)
-        )
-        sampled = True
-    env = _MaskEnv(market, doctor, ())
-    for a, b in pairs:
-        direct = env.eval(a | b)
-        if direct != env.eval(env.eval(a) | b):
-            return CheckOutcome(
-                "path-independence", False, env.witness("path-independence", a, b), sampled
-            )
-    return CheckOutcome("path-independence", True, None, sampled)
+    return _outcome(market, doctor, limits, "path-independence")
 
 
 def check_lad(
     market: Market, doctor: str, limits: ValidationLimits = DEFAULT_LIMITS
 ) -> CheckOutcome:
     """Law of aggregate demand: smaller offer sets never win more contracts."""
-    masks, sampled = _subset_masks(market, doctor, limits)
-    env = _MaskEnv(market, doctor, masks)
-    for mask in masks:
-        size = bin(env.choice[mask]).count("1")
-        bits = mask
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            sub = mask ^ low
-            if bin(env.eval(sub)).count("1") > size:
-                return CheckOutcome(
-                    "lad", False, env.witness("lad", mask, sub), sampled
-                )
-    return CheckOutcome("lad", True, None, sampled)
+    return _outcome(market, doctor, limits, "lad")
 
 
 CHECKERS = {

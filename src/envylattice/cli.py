@@ -43,14 +43,19 @@ def _say(line: str) -> None:
     sys.stdout.write(line + "\n")
 
 
-def _load_market(path: str) -> tuple[Market, dict]:
+def _read_doc(path: str):
+    """Read a market file and decode its JSON, once."""
     try:
         with open(path, "rb") as fh:
             text = fh.read()
     except OSError as exc:
         raise serialize.ParseError(f"cannot read {path}: {exc.strerror}") from None
-    market = serialize.parse_market(text)
-    return market, json.loads(text)
+    return serialize.decode_json(text)
+
+
+def _load_market(path: str) -> tuple[Market, dict]:
+    doc = _read_doc(path)
+    return serialize.market_from_doc(doc), doc
 
 
 def _enum_cap() -> int | None:
@@ -64,14 +69,7 @@ def _enum_cap() -> int | None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.market, "rb") as fh:
-            doc = json.loads(fh.read())
-    except OSError as exc:
-        raise serialize.ParseError(f"cannot read {args.market}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise serialize.ParseError(f"not valid JSON: {exc}") from None
-    market = serialize.market_from_json(doc)
+    market = serialize.market_from_json(_read_doc(args.market))
     report = validate_market(market)
     _emit(serialize.validation_to_json(report))
     if report.ok:

@@ -161,6 +161,11 @@ class Market:
         # Shared memo for choice evaluation, keyed (kind, agent, frozenset).
         return {}
 
+    @cached_property
+    def _axiom_cache(self) -> dict:
+        # Choice-axiom outcomes of each doctor, keyed (doctor, limits).
+        return {}
+
 
 def canon(Y) -> tuple[ContractId, ...]:
     """Canonical form of a contract set: sorted tuple of ids."""

@@ -55,7 +55,8 @@ def _expect(doc: dict, key: str, kind, where: str):
     if key not in doc:
         raise ParseError(f"{where} is missing key {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    # JSON true and false decode to bool, which is an int subclass
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ParseError(f"{where}.{key} has the wrong type, expected {kind.__name__}")
     return value
 
@@ -127,18 +128,27 @@ def market_from_json(doc) -> Market:
     )
 
 
+def decode_json(text: str | bytes):
+    """The JSON value of ``text``; malformed JSON is a ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not valid JSON: {exc}") from None
+
+
 def parse_market(text: str | bytes, limits=None) -> Market:
-    """Parse and validate a market document.
+    """Parse and validate a market document."""
+    return market_from_doc(decode_json(text), limits)
+
+
+def market_from_doc(doc, limits=None) -> Market:
+    """Build and validate a market from a decoded document.
 
     Raises ParseError on malformed documents and FatalValidationError
     (with the report attached) when validation finds a fatal problem.
     Informative findings, such as a doctor without the law of aggregate
     demand, do not block parsing.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from None
     market = market_from_json(doc)
     kwargs = {} if limits is None else {"limits": limits}
     report = validate_market(market, **kwargs)

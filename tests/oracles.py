@@ -9,6 +9,7 @@ choice evaluators themselves.
 from __future__ import annotations
 
 import itertools
+import random
 
 from envylattice import (
     Market,
@@ -170,3 +171,67 @@ def naive_axiom_verdict(market: Market, doctor: str, prop: str) -> bool:
                     return False
         return True
     raise ValueError(prop)
+
+
+def first_witness_oracle(market: Market, doctor: str, prop: str, limits) -> tuple:
+    """Replay one axiom with plain nested loops, in the checkers' order.
+
+    Subsets of X_d are numbered by bitmasks over the sorted contract ids.
+    The single-removal properties visit every subset in ascending order
+    (the seeded sample above ``limits.subset_cap``), then remove one
+    contract at a time in ascending order.  Path independence visits the
+    pairs (A, B) with A major (the seeded sampled pairs above
+    ``limits.pair_cap``).  Returns (passed, sampled, witness) with the
+    witness as its (subsets, choices) id tuples, or None.
+    """
+    contracts = sorted(market.doctor_contracts[doctor])
+    n = len(contracts)
+
+    def subset(mask: int) -> frozenset:
+        return frozenset(c for i, c in enumerate(contracts) if mask >> i & 1)
+
+    def choose(S: frozenset) -> frozenset:
+        return doctor_choose(market, doctor, S)
+
+    def witness(*sets):
+        return (tuple(canon(S) for S in sets), tuple(canon(choose(S)) for S in sets))
+
+    if prop == "path-independence":
+        sampled = n > limits.pair_cap
+        if sampled:
+            rng = random.Random(f"axiom-check-pairs:{doctor}:{n}")
+            pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(limits.samples)]
+        else:
+            pairs = [(a, b) for a in range(2**n) for b in range(2**n)]
+        for a, b in pairs:
+            A, B = subset(a), subset(b)
+            if choose(A | B) != choose(choose(A) | B):
+                return False, sampled, witness(A, B)
+        return True, sampled, None
+
+    sampled = n > limits.subset_cap
+    if sampled:
+        rng = random.Random(f"axiom-check:{doctor}:{n}")
+        masks = {0, 2**n - 1}
+        while len(masks) < min(limits.samples, 2**n):
+            masks.add(rng.getrandbits(n))
+        masks = sorted(masks)
+    else:
+        masks = range(2**n)
+    for mask in masks:
+        S = subset(mask)
+        C = choose(S)
+        if prop == "distinct-hospitals":
+            hospitals = [market.contract_by_id[c].hospital for c in C]
+            if not C <= S or len(hospitals) != len(set(hospitals)):
+                return False, sampled, witness(S)
+            continue
+        for x in sorted(S):
+            T = S - {x}
+            if prop == "substitutability" and not (C & T) <= choose(T):
+                return False, sampled, witness(S, T)
+            if prop == "consistency" and x not in C and choose(T) != C:
+                return False, sampled, witness(S, T)
+            if prop == "lad" and len(choose(T)) > len(C):
+                return False, sampled, witness(S, T)
+    return True, sampled, None

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from envylattice import (
@@ -25,10 +26,18 @@ from envylattice import (
     check_substitutable,
     doctor_choose,
     hospital_choose,
+    validate_market,
 )
-from envylattice.choice import agent_choose, hospital_accepts, hospital_prefers
+from envylattice import choice
+from envylattice.choice import DEFAULT_LIMITS, agent_choose, hospital_accepts, hospital_prefers
 
-from oracles import doctor_choice_oracle, hospital_choice_oracle, naive_axiom_verdict, subsets_of
+from oracles import (
+    doctor_choice_oracle,
+    first_witness_oracle,
+    hospital_choice_oracle,
+    naive_axiom_verdict,
+    subsets_of,
+)
 
 
 def one_doctor_market(contracts, choice, quotas=None) -> Market:
@@ -215,6 +224,74 @@ def test_quota_rule_satisfies_all_axioms(data):
     )
     for prop in PROPERTIES:
         assert CHECKERS[prop](m, "d").passed, prop
+
+
+@st.composite
+def one_doctor_markets(draw):
+    """A responsive doctor, or its tabulated rule with a few rows replaced.
+
+    A replaced row may choose contracts outside its own subset, which only
+    the distinct-hospitals check rejects.
+    """
+    n = draw(st.integers(min_value=1, max_value=6), label="contracts")
+    hospitals = draw(
+        st.lists(st.sampled_from(["h1", "h2", "h3"]), min_size=n, max_size=n),
+        label="hospital per contract",
+    )
+    contracts = [(f"c{i}", hospitals[i]) for i in range(n)]
+    ranked = draw(st.permutations([c for c, _ in contracts]), label="ranking")
+    quota = draw(st.integers(min_value=1, max_value=3), label="quota")
+    m = one_doctor_market(contracts, ResponsiveDoctor(quota=quota, ranking=tuple(ranked)))
+    if draw(st.booleans(), label="responsive"):
+        return m
+    table = {S: doctor_choose(m, "d", S) for S in subsets_of(ranked) if S}
+    rows = st.sampled_from(sorted(table, key=sorted))
+    for S in draw(st.lists(rows, max_size=4), label="replaced rows"):
+        pool = draw(st.sampled_from([sorted(S), sorted(ranked)]), label="row pool")
+        table[S] = frozenset(draw(st.lists(st.sampled_from(pool), unique=True)))
+    return one_doctor_market(contracts, TableDoctor(table=table))
+
+
+def _out_of_row_market() -> Market:
+    # C({c1}) = {c0, c2}: the first path-independence witness is
+    # ({c1}, {c0}), whose B overlaps C(A) outside A
+    ids = ("c0", "c1", "c2")
+    table = {S: S for S in subsets_of(ids) if S}
+    table[frozenset({"c1"})] = frozenset({"c0", "c2"})
+    return one_doctor_market([(c, f"h{c}") for c in ids], TableDoctor(table=table))
+
+
+@settings(max_examples=200, deadline=None)
+@example(_out_of_row_market(), DEFAULT_LIMITS)
+@given(
+    one_doctor_markets(),
+    st.sampled_from([DEFAULT_LIMITS, ValidationLimits(subset_cap=3, pair_cap=2, samples=24)]),
+)
+def test_checkers_match_first_witness_oracle(m, limits):
+    for prop in PROPERTIES:
+        out = CHECKERS[prop](m, "d", limits)
+        witness = None if out.witness is None else (out.witness.subsets, out.witness.choices)
+        assert (out.passed, out.sampled, witness) == first_witness_oracle(m, "d", prop, limits), prop
+        assert out.witness is None or out.witness.prop == prop
+
+
+def test_validation_evaluates_each_subset_once(monkeypatch):
+    contracts = [(f"c{i}", f"h{i % 4}") for i in range(10)]
+    m = one_doctor_market(
+        contracts, ResponsiveDoctor(quota=2, ranking=tuple(c for c, _ in contracts))
+    )
+    calls = Counter()
+    evaluate = choice.evaluate_doctor
+
+    def counting(market, doctor, own):
+        calls[own] += 1
+        return evaluate(market, doctor, own)
+
+    monkeypatch.setattr(choice, "evaluate_doctor", counting)
+    assert validate_market(m).ok
+    assert len(calls) == 2**10 - 1  # exhaustive: every nonempty subset
+    assert max(calls.values()) == 1
+    assert not m._choice_cache  # validation leaves the choice memo alone
 
 
 def test_choice_cache_is_per_market(no_lad):

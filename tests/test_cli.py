@@ -69,6 +69,18 @@ def test_parse_error_exit_two(tmp_path):
     assert line.startswith("error: ")
 
 
+def test_bool_quota_exit_two(tmp_path):
+    doc = json.loads(NO_LAD_PATH.read_text())
+    doc["hospitals"][0]["quota"] = True
+    bad = tmp_path / "bool-quota.market.json"
+    bad.write_text(json.dumps(doc))
+    proc = run_cli("validate", str(bad))
+    assert proc.returncode == 2
+    payload, line = split_json_and_line(proc.stdout)
+    assert payload["error"]["type"] == "parse"
+    assert "quota" in line
+
+
 def test_missing_file_exit_two(tmp_path):
     proc = run_cli("check", str(tmp_path / "absent.json"), "--allocation", "x11")
     assert proc.returncode == 2

@@ -96,6 +96,18 @@ def test_wrong_types_rejected():
         market_from_json(doc)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_quotas_rejected(flag):
+    doc = json.loads(NO_LAD_PATH.read_text())
+    doc["hospitals"][0]["quota"] = flag
+    with pytest.raises(ParseError, match=r"hospitals\[0\]\.quota has the wrong type"):
+        market_from_json(doc)
+    doc = market_to_json(generate_responsive_market(GenParams(doctors=2, hospitals=2, contracts=4, seed=1)))
+    doc["doctors"][0]["quota"] = flag
+    with pytest.raises(ParseError, match=r"doctors\[0\]\.quota has the wrong type"):
+        market_from_json(doc)
+
+
 def test_fatal_validation_carries_report():
     doc = json.loads(NO_LAD_PATH.read_text())
     doc["doctors"][1]["table"] = doc["doctors"][1]["table"][:3]
