@@ -15,12 +15,21 @@ Definitions, for an allocation Y:
 * envy-free: IR with no justified envy;  stable: IR with no blocking
   contract.  Stability implies envy-freeness: a justified-envy triple is
   itself a blocking contract.
+
+Every condition above is local: IR is a condition on each doctor's part
+Y_d and each hospital's load, and a justified-envy witness involves one
+hospital and two doctors' parts.  ``enumerate_allocations`` exploits
+this with one depth-first search over the doctors that fixes one IR part
+per doctor and settles each witness as soon as both of its doctors are
+fixed; ``all_allocations`` lists every allocation for the plain
+``allocation`` class.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import lt
 
 from .choice import agent_choose, doctor_choose, hospital_accepts, hospital_prefers
 from .model import (
@@ -169,16 +178,38 @@ def classify(market: Market, Y) -> ClassificationReport:
     )
 
 
-def _resolved_cap(cap: int | None) -> int:
+def resolve_enum_cap(cap: int | None) -> int:
+    """The enumeration cap: ``cap``, else ENVYLATTICE_ENUM_CAP, else 22.
+
+    This is the one reader of the environment variable.  A set variable
+    must hold an integer (``int`` syntax, so surrounding blanks are
+    fine); anything else, the empty string included, is a refusal.
+    """
     if cap is not None:
         return cap
     env = os.environ.get(ENUM_CAP_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise MarketError(f"{ENUM_CAP_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_ENUM_CAP
+    if env is None:
+        return DEFAULT_ENUM_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise MarketError(f"{ENUM_CAP_ENV} must be an integer, got {env!r}") from None
+
+
+def _check_cap(market: Market, cap: int | None) -> None:
+    cap = resolve_enum_cap(cap)
+    if len(market.contracts) > cap:
+        raise EnumerationCapError(
+            f"market has {len(market.contracts)} contracts, enumeration cap is {cap}"
+        )
+
+
+def _balanced(market: Market, Y: frozenset) -> frozenset:
+    """Y, once the restriction accounting identity is asserted on it."""
+    bd, bh, size = contract_count_balance(market, Y)
+    if not bd == bh == size:
+        raise AssertionError("restriction accounting identity failed")
+    return Y
 
 
 def all_allocations(market: Market, cap: int | None = None) -> list[frozenset]:
@@ -190,11 +221,7 @@ def all_allocations(market: Market, cap: int | None = None) -> list[frozenset]:
     2^|X|.  Refuses markets above the cap (default 22 contracts,
     overridable via the ENVYLATTICE_ENUM_CAP environment variable).
     """
-    cap = _resolved_cap(cap)
-    if len(market.contracts) > cap:
-        raise EnumerationCapError(
-            f"market has {len(market.contracts)} contracts, enumeration cap is {cap}"
-        )
+    _check_cap(market, cap)
     pairs: dict[tuple[str, str], list[str]] = {}
     for c in market.contracts:
         pairs.setdefault((c.doctor, c.hospital), []).append(c.id)
@@ -208,11 +235,7 @@ def all_allocations(market: Market, cap: int | None = None) -> list[frozenset]:
 
     def walk(i: int):
         if i == len(pair_list):
-            Y = frozenset(chosen)
-            bd, bh, size = contract_count_balance(market, Y)
-            if not bd == bh == size:
-                raise AssertionError("restriction accounting identity failed")
-            out.append(Y)
+            out.append(_balanced(market, frozenset(chosen)))
             return
         walk(i + 1)
         hospital, ids = pair_list[i]
@@ -229,18 +252,114 @@ def all_allocations(market: Market, cap: int | None = None) -> list[frozenset]:
     return out
 
 
+@dataclass(frozen=True)
+class _Part:
+    """One IR part S of a doctor, with what the envy test needs of it.
+
+    ``held`` pairs the hospital index of each contract of S with its
+    rank there; ``desired`` pairs each hospital index with the best rank
+    among the contracts x outside S that it finds acceptable and that
+    the doctor would take on top of S (x in C_d(S | {x})).
+    """
+
+    contracts: frozenset
+    held: tuple[tuple[int, int], ...]
+    desired: tuple[tuple[int, int], ...]
+
+
+def _ir_parts(market: Market, doctor: str, index: dict[str, int]) -> list[_Part]:
+    """Every S within X_d with C_d(S) == S, distinct hospitals, and every
+    contract acceptable to its hospital."""
+    rank = market.hospital_rank
+    hospital_of = {x: market.contract_by_id[x].hospital for x in market.doctor_contracts[doctor]}
+    by_hospital: dict[str, list[str]] = {}
+    for x in canon(hospital_of):
+        if x in rank[hospital_of[x]]:
+            by_hospital.setdefault(hospital_of[x], []).append(x)
+    candidates = [frozenset()]
+    for ids in by_hospital.values():
+        candidates += [S | {x} for S in candidates for x in ids]
+    parts = []
+    for S in candidates:
+        if doctor_choose(market, doctor, S) != S:
+            continue
+        held = tuple((index[hospital_of[x]], rank[hospital_of[x]][x]) for x in S)
+        best: dict[int, int] = {}
+        for x in hospital_of.keys() - S:
+            h = hospital_of[x]
+            r = rank[h].get(x)
+            if r is not None and x in doctor_choose(market, doctor, S | {x}):
+                best[index[h]] = min(best.get(index[h], r), r)
+        parts.append(_Part(S, held, tuple(best.items())))
+    return parts
+
+
+def _search(market: Market, kind: str) -> list[frozenset]:
+    """IR, envy-free or stable allocations by a DFS over doctors.
+
+    Doctors are fixed in sorted id order, each to one of its IR parts,
+    and a part that would put a hospital above quota is skipped.  Per
+    hospital the search keeps the worst held rank and the best desired
+    rank over the doctors fixed so far.  A desired rank better than a
+    held rank is exactly a justified-envy witness, and fixing more
+    doctors can only add witnesses, so the subtree is pruned.  An
+    envy-free leaf is stable unless some hospital below quota is
+    desired: at quota, a blocking contract would be a witness.
+    """
+    hospitals = market.hospitals
+    n = len(hospitals)
+    index = {h.id: i for i, h in enumerate(hospitals)}
+    quota = [h.quota for h in hospitals]
+    levels = [_ir_parts(market, d, index) for d in sorted(market.doctor_by_id)]
+    none = max((len(h.ranking) for h in hospitals), default=0)  # beyond every rank
+    envy = kind != "ir"
+    chosen: list[frozenset] = []
+    out: list[frozenset] = []
+
+    def walk(level: int, load: list[int], worst: list[int], best: list[int]):
+        if level == len(levels):
+            if kind == "stable" and any(
+                load[h] < quota[h] and best[h] < none for h in range(n)
+            ):
+                return
+            out.append(_balanced(market, frozenset().union(*chosen)))
+            return
+        for part in levels[level]:
+            nload, nworst, nbest = load[:], worst[:], best[:]
+            for h, r in part.held:
+                nload[h] += 1
+                nworst[h] = max(nworst[h], r)
+            if any(nload[h] > quota[h] for h, _ in part.held):
+                continue
+            for h, r in part.desired:
+                nbest[h] = min(nbest[h], r)
+            if envy and any(map(lt, nbest, nworst)):
+                continue
+            chosen.append(part.contracts)
+            walk(level + 1, nload, nworst, nbest)
+            chosen.pop()
+
+    walk(0, [0] * n, [-1] * n, [none] * n)
+    out.sort(key=canon)
+    return out
+
+
 def enumerate_allocations(
     market: Market, kind: str = "allocation", cap: int | None = None
 ) -> list[frozenset]:
-    """All allocations of the requested solution class, canonically sorted."""
+    """All allocations of the requested solution class, canonically sorted.
+
+    ``allocation`` lists every allocation (``all_allocations``).  The
+    other classes come from one pruned DFS over the doctors in sorted id
+    order: each doctor takes one of its IR parts, hospital loads are
+    pruned against quota, and for ``envy-free`` and ``stable`` a branch
+    is cut as soon as two fixed doctors form a justified-envy witness.
+    The work then follows the size of the class returned, not the number
+    of allocations.  The contract-count cap is checked before any work.
+    """
     if kind not in CLASSES:
         raise MarketError(f"unknown class {kind!r}, expected one of {CLASSES}")
-    allocations = all_allocations(market, cap)
     if kind == "allocation":
-        return allocations
-    rational = [Y for Y in allocations if is_individually_rational(market, Y)]
-    if kind == "ir":
-        return rational
-    if kind == "envy-free":
-        return [Y for Y in rational if not _has_justified_envy(market, Y)]
-    return [Y for Y in rational if not blocking_contracts(market, Y)]
+        return all_allocations(market, cap)
+    _check_cap(market, cap)
+    return _search(market, kind)

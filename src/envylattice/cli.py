@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import serialize
@@ -22,7 +21,7 @@ from .reconcile import (
     reference_from_doc,
     render_reconciliation_text,
 )
-from .classify import ENUM_CAP_ENV, classify, enumerate_allocations
+from .classify import classify, enumerate_allocations
 from .dynamics import (
     RetirementEvent,
     tarski_fixed_point,
@@ -58,16 +57,6 @@ def _load_market(path: str) -> tuple[Market, dict]:
     return serialize.market_from_doc(doc), doc
 
 
-def _enum_cap() -> int | None:
-    env = os.environ.get(ENUM_CAP_ENV)
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise MarketError(f"{ENUM_CAP_ENV} must be an integer, got {env!r}") from None
-
-
 def cmd_validate(args) -> int:
     market = serialize.market_from_json(_read_doc(args.market))
     report = validate_market(market)
@@ -101,7 +90,7 @@ def cmd_check(args) -> int:
 
 def cmd_enumerate(args) -> int:
     market, _ = _load_market(args.market)
-    allocations = enumerate_allocations(market, args.kind, _enum_cap())
+    allocations = enumerate_allocations(market, args.kind)
     doc = {"class": args.kind, "count": len(allocations)}
     if not args.count_only:
         doc["allocations"] = [serialize.allocation_to_list(Y) for Y in allocations]
@@ -111,14 +100,14 @@ def cmd_enumerate(args) -> int:
 
 def cmd_lattice(args) -> int:
     market, doc = _load_market(args.market)
-    graph = hasse(market, _enum_cap())
+    reference = reference_from_doc(doc, market)
+    graph = hasse(market)
     if args.format == "dot":
         sys.stdout.write(to_dot(graph))
     else:
         _emit(graph_to_json(graph))
-    reference = reference_from_doc(doc)
     if reference is not None:
-        report = reconcile(market, reference, _enum_cap())
+        report = reconcile(market, reference)
         sys.stderr.write(json.dumps(reconciliation_to_json(report), indent=2) + "\n")
         sys.stderr.write(render_reconciliation_text(report))
     return 0
@@ -137,7 +126,7 @@ def cmd_meet(args) -> int:
     market, _ = _load_market(args.market)
     left = serialize.allocation_from_csv(market, args.left)
     right = serialize.allocation_from_csv(market, args.right)
-    envy_free = enumerate_allocations(market, "envy-free", _enum_cap())
+    envy_free = enumerate_allocations(market, "envy-free")
     result = meet(market, left, right, envy_free)
     _emit({"meet": serialize.allocation_to_list(result)})
     return 0
@@ -197,7 +186,7 @@ def cmd_random(args) -> int:
 def cmd_verify_lad(args) -> int:
     market, _ = _load_market(args.market)
     start = serialize.allocation_from_csv(market, args.from_ids)
-    report = verify_lad_predictions(market, start, _enum_cap())
+    report = verify_lad_predictions(market, start)
     _emit(serialize.theorem_report_to_json(report))
     return 0
 

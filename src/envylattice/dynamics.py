@@ -27,6 +27,7 @@ from .classify import (
     is_envy_free,
     is_stable,
     justified_envy_witnesses,
+    resolve_enum_cap,
 )
 from .lattice import blair_dominates, choice_join, hospital_optimal
 from .model import (
@@ -225,6 +226,9 @@ class TheoremReport:
 def verify_lad_predictions(market: Market, Y, cap: int | None = None) -> TheoremReport:
     """Check the consequences of the law of aggregate demand at Y.
 
+    ``cap`` is the enumeration cap of the stable set; the walk from Y
+    runs under its own default iteration cap.
+
     * fixed_point_equals_join: iterating from the envy-free Y lands on
       join(Y, hospital-optimal stable allocation);
     * dominating_envy_free_is_stable: if Y dominates the
@@ -236,6 +240,7 @@ def verify_lad_predictions(market: Market, Y, cap: int | None = None) -> Theorem
     """
     from .choice import check_lad
 
+    cap = resolve_enum_cap(cap)  # a bad ENVYLATTICE_ENUM_CAP is refused first
     Y = _require_envy_free(market, Y)
     lad_failures = tuple(
         d.id
@@ -244,7 +249,7 @@ def verify_lad_predictions(market: Market, Y, cap: int | None = None) -> Theorem
     )
     stable = enumerate_allocations(market, "stable", cap)
     y_hosp = hospital_optimal(market, cap)
-    trace = tarski_fixed_point(market, Y, cap)
+    trace = tarski_fixed_point(market, Y)
     joined = choice_join(market, Y, y_hosp)
 
     checks: dict[str, CheckVerdict] = {}

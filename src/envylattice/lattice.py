@@ -125,21 +125,48 @@ def meet(market: Market, Y, Yp, envy_free) -> frozenset:
     return glb
 
 
+def _dominance_rows(market: Market, nodes) -> list[int]:
+    """Bit j of entry i is set when nodes[i] weakly dominates nodes[j].
+
+    Dominance is per doctor: Y dominates Yp exactly when the choice
+    from the union reproduces Y, C_d(Y_d | Yp_d) == Y_d, for every d.
+    So for each doctor the nodes are grouped by their part, each part p
+    gets the mask of the nodes whose part it dominates, and a node's row
+    is the AND of the masks of its parts.  Each node dominates itself.
+    """
+    n = len(nodes)
+    rows = [(1 << n) - 1] * n
+    for d in market.doctors:
+        own = market.doctor_contracts[d.id]
+        parts = [Y & own for Y in nodes]
+        groups: dict[frozenset, int] = {}
+        for j, p in enumerate(parts):
+            groups[p] = groups.get(p, 0) | 1 << j
+        masks = {
+            p: sum(m for q, m in groups.items() if doctor_choose(market, d.id, p | q) == p)
+            for p in groups
+        }
+        rows = [row & masks[p] for row, p in zip(rows, parts)]
+    return [row | 1 << i for i, row in enumerate(rows)]
+
+
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def dominance_matrix(market: Market, nodes: list[frozenset]) -> list[list[bool]]:
     """matrix[i][j] == nodes[i] weakly dominates nodes[j].
 
     Exploits the join closed form: Y dominates Yp exactly when the
-    per-doctor choice from the union reproduces Y.
+    per-doctor choice from the union reproduces Y.  The matrix unpacks
+    the bitset rows that ``hasse`` reduces.
     """
-    n = len(nodes)
-    out = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                out[i][j] = True
-            else:
-                out[i][j] = choice_join(market, nodes[i], nodes[j]) == nodes[i]
-    return out
+    rows = _dominance_rows(market, nodes)
+    return [[bool(row >> j & 1) for j in range(len(nodes))] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -177,20 +204,20 @@ class LatticeGraph:
 
 
 def hasse(market: Market, cap: int | None = None) -> LatticeGraph:
-    """Enumerate the envy-free set and build its Hasse diagram."""
+    """Enumerate the envy-free set and build its Hasse diagram.
+
+    With below(i) the nodes strictly dominated by node i, as a bitset,
+    the covers of i are below(i) minus the union of below(k) over k in
+    below(i): O(n^2) big-int operations on the dominance rows.
+    """
     nodes = enumerate_allocations(market, "envy-free", cap)
-    dom = dominance_matrix(market, nodes)
-    n = len(nodes)
+    below = [row & ~(1 << i) for i, row in enumerate(_dominance_rows(market, nodes))]
     covers = []
-    for j in range(n):  # lower
-        for i in range(n):  # upper
-            if i == j or not dom[i][j]:
-                continue
-            if any(
-                k != i and k != j and dom[i][k] and dom[k][j] for k in range(n)
-            ):
-                continue
-            covers.append((j, i))
+    for i, strict in enumerate(below):
+        reach = 0
+        for k in _bits(strict):
+            reach |= below[k]
+        covers.extend((j, i) for j in _bits(strict & ~reach))
     covers.sort()
     stable = tuple(is_stable(market, Y) for Y in nodes)
     bottom = nodes.index(frozenset())

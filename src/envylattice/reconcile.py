@@ -30,37 +30,43 @@ class Reference:
     counts: dict
 
 
-def reference_from_doc(doc: dict) -> Reference | None:
-    """Extract the optional reference block from a parsed market document."""
+def reference_from_doc(doc: dict, market: Market | None = None) -> Reference | None:
+    """Extract the optional reference block from a parsed market document.
+
+    Every allocation and every cover-edge side must be a list of contract
+    ids; with ``market`` given, every id must also name one of its
+    contracts.  Anything else is a ParseError.
+    """
     block = doc.get("reference")
     if block is None:
         return None
     if not isinstance(block, dict):
         raise ParseError("reference must be an object")
 
+    def id_set(entry, what: str) -> frozenset:
+        if not isinstance(entry, list) or not all(isinstance(x, str) for x in entry):
+            raise ParseError(f"{what} must be lists of contract ids")
+        if market is not None:
+            unknown = sorted(x for x in entry if x not in market.contract_by_id)
+            if unknown:
+                raise ParseError(f"{what} name unknown contract ids: {unknown}")
+        return frozenset(entry)
+
     def alloc_list(key) -> tuple[frozenset, ...]:
         value = block.get(key, [])
         if not isinstance(value, list):
             raise ParseError(f"reference.{key} must be a list of allocations")
-        out = []
-        for entry in value:
-            if not isinstance(entry, list) or not all(isinstance(x, str) for x in entry):
-                raise ParseError(f"reference.{key} entries must be lists of contract ids")
-            out.append(frozenset(entry))
-        return tuple(out)
+        return tuple(id_set(entry, f"reference.{key} entries") for entry in value)
 
     edges_raw = block.get("cover_edges", [])
     if not isinstance(edges_raw, list):
         raise ParseError("reference.cover_edges must be a list")
     edges = []
     for entry in edges_raw:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(side, list) for side in entry)
-        ):
+        if not isinstance(entry, list) or len(entry) != 2:
             raise ParseError("reference.cover_edges entries must be [lower, upper] pairs")
-        edges.append((frozenset(entry[0]), frozenset(entry[1])))
+        lo, hi = (id_set(side, "reference.cover_edges sides") for side in entry)
+        edges.append((lo, hi))
     counts = block.get("counts", {})
     if not isinstance(counts, dict):
         raise ParseError("reference.counts must be an object")

@@ -129,10 +129,14 @@ def market_from_json(doc) -> Market:
 
 
 def decode_json(text: str | bytes):
-    """The JSON value of ``text``; malformed JSON is a ParseError."""
+    """The JSON value of ``text``; malformed JSON is a ParseError.
+
+    Bytes are decoded the way ``json.loads`` does it (UTF-8, -16 or
+    -32), so undecodable bytes are malformed JSON too.
+    """
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
 
 

@@ -6,8 +6,18 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from envylattice import Market, parse_market
+from envylattice import (
+    DoctorSpec,
+    GenParams,
+    Market,
+    TableDoctor,
+    doctor_choose,
+    generate_responsive_market,
+    parse_market,
+)
+from oracles import subsets_of
 
 MARKET_DIR = Path(__file__).resolve().parent.parent / "markets"
 NO_LAD_PATH = MARKET_DIR / "no_lad_demo.market.json"
@@ -58,3 +68,34 @@ def no_lad_doc() -> dict:
 @pytest.fixture(scope="session")
 def lattice_doc() -> dict:
     return json.loads(LATTICE_PATH.read_text())
+
+
+@st.composite
+def small_markets(draw, max_contracts: int = 8):
+    """A generated responsive market, or the same market with one doctor's
+    rule tabulated and a few of its rows replaced by other subsets of the
+    row, which may break any choice axiom."""
+    hospital_quota = draw(st.integers(min_value=1, max_value=3), label="max hospital quota")
+    market = generate_responsive_market(
+        GenParams(
+            doctors=draw(st.integers(min_value=1, max_value=3), label="doctors"),
+            hospitals=draw(st.integers(min_value=1, max_value=3), label="hospitals"),
+            contracts=draw(st.integers(min_value=1, max_value=max_contracts), label="contracts"),
+            doctor_quota=(1, 3),
+            hospital_quota=(1, hospital_quota),
+            acceptability=draw(st.sampled_from([0.6, 0.9, 1.0]), label="acceptability"),
+            seed=draw(st.integers(min_value=0, max_value=2**32), label="seed"),
+        )
+    )
+    tabulable = [d.id for d in market.doctors if 0 < len(market.doctor_contracts[d.id]) <= 5]
+    if not tabulable or not draw(st.booleans(), label="table doctor"):
+        return market
+    doctor = draw(st.sampled_from(tabulable), label="tabulated doctor")
+    table = {S: doctor_choose(market, doctor, S) for S in subsets_of(market.doctor_contracts[doctor]) if S}
+    for S in draw(st.lists(st.sampled_from(sorted(table, key=sorted)), max_size=3), label="replaced rows"):
+        table[S] = frozenset(draw(st.lists(st.sampled_from(sorted(S)), unique=True), label="row"))
+    doctors = tuple(
+        DoctorSpec(id=d.id, choice=TableDoctor(table=table)) if d.id == doctor else d
+        for d in market.doctors
+    )
+    return Market(doctors=doctors, hospitals=market.hospitals, contracts=market.contracts)

@@ -52,6 +52,34 @@ def powerset_allocations(market: Market, kind: str) -> list[frozenset]:
     return sorted(out, key=canon)
 
 
+def brute_dominance(market: Market, nodes) -> list[list[bool]]:
+    """matrix[i][j]: every doctor, offered both parts, keeps nodes[i]'s."""
+    return [
+        [
+            i == j
+            or all(
+                doctor_choose(market, d, a | b) == a & market.doctor_contracts[d]
+                for d in market.doctor_contracts
+            )
+            for j, b in enumerate(nodes)
+        ]
+        for i, a in enumerate(nodes)
+    ]
+
+
+def triple_loop_covers(dom) -> list[tuple[int, int]]:
+    """(lower, upper) pairs with nothing strictly between, by trying every k."""
+    n = len(dom)
+    return [
+        (lo, hi)
+        for lo in range(n)
+        for hi in range(n)
+        if hi != lo
+        and dom[hi][lo]
+        and not any(k not in (lo, hi) and dom[hi][k] and dom[k][lo] for k in range(n))
+    ]
+
+
 def doctor_choice_oracle(market: Market, doctor: str, offered) -> frozenset:
     """Best feasible subset under the padded rank-vector order.
 

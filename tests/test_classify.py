@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from envylattice import (
     Contract,
@@ -13,6 +15,7 @@ from envylattice import (
     GenParams,
     HospitalSpec,
     Market,
+    MarketError,
     ResponsiveDoctor,
     blocking_contracts,
     canon,
@@ -31,8 +34,12 @@ from conftest import (
     EF_MIDDLE,
     HOSPITAL_OPT,
     LD_STABLE,
+    small_markets,
 )
 from oracles import brute_blocking, brute_envy, powerset_allocations
+
+# the module, which the package's ``classify`` function shadows
+classify_module = importlib.import_module("envylattice.classify")
 
 # frozen from the brute-force subset filter over both demo markets
 NO_LAD_COUNTS = {"allocation": 27, "ir": 17, "envy-free": 11, "stable": 2}
@@ -72,9 +79,28 @@ def test_enumerator_equals_subset_filter(no_lad, lattice_demo):
             assert enumerate_allocations(market, kind) == powerset_allocations(market, kind)
 
 
-def test_unknown_class(no_lad):
-    from envylattice import MarketError
+@settings(max_examples=200, deadline=None)
+@given(small_markets())
+def test_enumerator_equals_subset_filter_on_random_markets(market):
+    for kind in ("allocation", "ir", "envy-free", "stable"):
+        assert enumerate_allocations(market, kind) == powerset_allocations(market, kind), kind
 
+
+def test_envy_free_search_skips_the_leaf_filters(monkeypatch):
+    # the X=22 baseline market: 280,800 allocations, 328 of them envy-free
+    market = generate_responsive_market(
+        GenParams(7, 5, 22, seed=5, doctor_quota=(1, 3), hospital_quota=(1, 3))
+    )
+
+    def forbidden(*args):
+        raise AssertionError("the envy-free search ran a per-leaf filter")
+
+    monkeypatch.setattr(classify_module, "is_individually_rational", forbidden)
+    monkeypatch.setattr(classify_module, "_has_justified_envy", forbidden)
+    assert len(enumerate_allocations(market, "envy-free")) == 328
+
+
+def test_unknown_class(no_lad):
     with pytest.raises(MarketError):
         enumerate_allocations(no_lad, "everything")
 
@@ -92,6 +118,14 @@ def test_env_var_cap(no_lad, monkeypatch):
         enumerate_allocations(no_lad, "allocation")
     monkeypatch.setenv("ENVYLATTICE_ENUM_CAP", "6")
     assert len(enumerate_allocations(no_lad, "allocation")) == 27
+
+
+@pytest.mark.parametrize("value", ["", "many", "6.0"])
+def test_env_var_cap_must_be_an_integer(no_lad, monkeypatch, value):
+    monkeypatch.setenv("ENVYLATTICE_ENUM_CAP", value)
+    for kind in ("allocation", "envy-free"):
+        with pytest.raises(MarketError, match="must be an integer"):
+            enumerate_allocations(no_lad, kind)
 
 
 def test_golden_classifications(no_lad):

@@ -81,6 +81,42 @@ def test_bool_quota_exit_two(tmp_path):
     assert "quota" in line
 
 
+@pytest.mark.parametrize("argv", [("validate",), ("check", "--allocation", "x11")])
+def test_non_utf8_market_is_a_parse_error(tmp_path, argv):
+    bad = tmp_path / "latin1.market.json"
+    bad.write_bytes(b"\x80" + NO_LAD_PATH.read_bytes())
+    command, *rest = argv
+    proc = run_cli(command, str(bad), *rest)
+    assert proc.returncode == 2
+    payload, line = split_json_and_line(proc.stdout)
+    assert payload["error"]["type"] == "parse"
+    assert line.startswith("error: not valid JSON")
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "reference, message",
+    [
+        ({"cover_edges": [[[1], ["x"]]]}, "cover_edges sides must be lists of contract ids"),
+        ({"envy_free": [["x11", "nosuch"]]}, "unknown contract ids: ['nosuch']"),
+        ({"cover_edges": [[[], ["nosuch"]]]}, "unknown contract ids: ['nosuch']"),
+    ],
+)
+def test_lattice_refuses_bad_reference_before_output(tmp_path, reference, message):
+    doc = json.loads(NO_LAD_PATH.read_text())
+    doc["reference"] = reference
+    bad = tmp_path / "bad-reference.market.json"
+    bad.write_text(json.dumps(doc))
+    proc = run_cli("lattice", str(bad), "--format", "json")
+    assert proc.returncode == 2
+    # the error report is all of stdout: no graph was printed first
+    payload, line = split_json_and_line(proc.stdout)
+    assert payload["error"]["type"] == "parse"
+    assert message in payload["error"]["message"]
+    assert line.startswith("error: ")
+    assert proc.stderr == b""
+
+
 def test_missing_file_exit_two(tmp_path):
     proc = run_cli("check", str(tmp_path / "absent.json"), "--allocation", "x11")
     assert proc.returncode == 2
@@ -141,6 +177,16 @@ def test_enum_cap_env_must_be_integer():
     assert proc.returncode == 1
     payload, _ = split_json_and_line(proc.stdout)
     assert "must be an integer" in payload["error"]["message"]
+
+
+def test_empty_enum_cap_env_is_refused():
+    proc = run_cli(
+        "lattice", str(NO_LAD_PATH), "--format", "json",
+        env_extra={"ENVYLATTICE_ENUM_CAP": ""},
+    )
+    assert proc.returncode == 1
+    payload, _ = split_json_and_line(proc.stdout)
+    assert payload["error"]["message"] == "ENVYLATTICE_ENUM_CAP must be an integer, got ''"
 
 
 def test_lattice_json_and_reconciliation_streams():

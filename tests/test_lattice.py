@@ -5,6 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
 
 from envylattice import (
     Contract,
@@ -38,7 +39,9 @@ from conftest import (
     LD_JOIN_LEFT,
     LD_JOIN_RIGHT,
     LD_JOIN_VALUE,
+    small_markets,
 )
+from oracles import brute_dominance, powerset_allocations, triple_loop_covers
 
 
 def test_golden_dominance_chain(no_lad):
@@ -135,24 +138,28 @@ def test_hasse_against_reachability_oracle(no_lad, lattice_demo):
     for market in (no_lad, lattice_demo):
         graph = hasse(market)
         nodes = list(graph.nodes)
-        dom = dominance_matrix(market, nodes)
-        n = len(nodes)
-        expected = set()
-        for lo in range(n):
-            for hi in range(n):
-                if hi == lo or not dom[hi][lo]:
-                    continue
-                between = any(
-                    k not in (lo, hi) and dom[hi][k] and dom[k][lo] for k in range(n)
-                )
-                if not between:
-                    expected.add((lo, hi))
-        assert set(graph.covers) == expected
+        dom = brute_dominance(market, nodes)
+        assert dominance_matrix(market, nodes) == dom
+        assert list(graph.covers) == triple_loop_covers(dom)
         assert graph.nodes[graph.bottom] == frozenset()
         # bottom is the unique node nothing covers from below
         uppers = {hi for _, hi in graph.covers}
-        roots = set(range(n)) - uppers
-        assert roots == {graph.bottom} or n == 1
+        roots = set(range(len(nodes))) - uppers
+        assert roots == {graph.bottom} or len(nodes) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_markets())
+def test_hasse_matches_triple_loop_oracle(market):
+    graph = hasse(market)
+    nodes = list(graph.nodes)
+    assert nodes == powerset_allocations(market, "envy-free")
+    dom = brute_dominance(market, nodes)
+    assert dominance_matrix(market, nodes) == dom
+    assert list(graph.covers) == triple_loop_covers(dom)
+    # the bitset rows also agree off the envy-free set
+    ir = enumerate_allocations(market, "ir")
+    assert dominance_matrix(market, ir) == brute_dominance(market, ir)
 
 
 def test_hasse_stable_flags(no_lad, lattice_demo):

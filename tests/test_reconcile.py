@@ -34,6 +34,22 @@ def test_reference_shape_errors():
         reference_from_doc({"reference": {"envy_free": "x"}})
     with pytest.raises(ParseError):
         reference_from_doc({"reference": {"envy_free": [], "stable": [[123]]}})
+    with pytest.raises(ParseError, match="sides must be lists of contract ids"):
+        reference_from_doc({"reference": {"cover_edges": [[[1], ["x"]]]}})
+    with pytest.raises(ParseError, match="sides must be lists of contract ids"):
+        reference_from_doc({"reference": {"cover_edges": [["x11", []]]}})
+
+
+def test_reference_ids_must_name_market_contracts(lattice_demo, lattice_doc):
+    assert reference_from_doc(lattice_doc, lattice_demo) == reference_from_doc(lattice_doc)
+    for key in ("envy_free", "stable"):
+        doc = {"reference": {key: [["x11"], ["x11", "nosuch"]]}}
+        assert reference_from_doc(doc) is not None  # ids are checked only against a market
+        with pytest.raises(ParseError, match=rf"reference\.{key} entries name unknown contract ids: \['nosuch'\]"):
+            reference_from_doc(doc, lattice_demo)
+    doc = {"reference": {"cover_edges": [[["x11"], ["nosuch", "zz"]]]}}
+    with pytest.raises(ParseError, match=r"cover_edges sides name unknown contract ids: \['nosuch', 'zz'\]"):
+        reference_from_doc(doc, lattice_demo)
 
 
 def test_row_and_mismatch_totals(report):
