@@ -30,12 +30,12 @@ class Reference:
     counts: dict
 
 
-def reference_from_doc(doc: dict, market: Market | None = None) -> Reference | None:
+def reference_from_doc(doc: dict, market: Market) -> Reference | None:
     """Extract the optional reference block from a parsed market document.
 
     Every allocation and every cover-edge side must be a list of contract
-    ids; with ``market`` given, every id must also name one of its
-    contracts.  Anything else is a ParseError.
+    ids, each naming one of ``market``'s contracts.  Anything else is a
+    ParseError.
     """
     block = doc.get("reference")
     if block is None:
@@ -46,10 +46,9 @@ def reference_from_doc(doc: dict, market: Market | None = None) -> Reference | N
     def id_set(entry, what: str) -> frozenset:
         if not isinstance(entry, list) or not all(isinstance(x, str) for x in entry):
             raise ParseError(f"{what} must be lists of contract ids")
-        if market is not None:
-            unknown = sorted(x for x in entry if x not in market.contract_by_id)
-            if unknown:
-                raise ParseError(f"{what} name unknown contract ids: {unknown}")
+        unknown = sorted(x for x in entry if x not in market.contract_by_id)
+        if unknown:
+            raise ParseError(f"{what} name unknown contract ids: {unknown}")
         return frozenset(entry)
 
     def alloc_list(key) -> tuple[frozenset, ...]:

@@ -150,7 +150,7 @@ def test_criterion_2_reconciliation(capsys):
     _check(problems, join(market, LD_JOIN_LEFT, LD_JOIN_RIGHT) == LD_JOIN_VALUE,
            "documented join value not reproduced")
 
-    reference = reference_from_doc(json.loads(raw))
+    reference = reference_from_doc(json.loads(raw), market)
     _check(problems, reference is not None, "bundled reference block missing")
     report = reconcile(market, reference)
     _check(problems, len(report.rows) > 0, "reconciliation produced no rows")
