@@ -16,6 +16,18 @@ Definitions, for an allocation Y:
   contract.  Stability implies envy-freeness: a justified-envy triple is
   itself a blocking contract.
 
+The point predicates share one pass.  ``_blocking`` computes the
+blocking set of a known allocation, and justified envy is read off it:
+the witnesses are the pairs of a blocking contract and a held contract
+at its hospital that it beats, so Y has justified envy exactly when
+some blocking contract ranks above the worst contract held at its
+hospital.  No choice axiom is needed for this: the desired contract of
+a witness is acceptable and beats a held one, so its hospital would
+take it, and it blocks.  Each
+public predicate checks its input once with ``require_allocation`` and
+``classify`` runs ``allocation_violations`` once; everything below them
+is unchecked.
+
 Every condition above is local: IR is a condition on each doctor's part
 Y_d and each hospital's load, and a justified-envy witness involves one
 hospital and two doctors' parts.  ``enumerate_allocations`` exploits
@@ -27,19 +39,20 @@ fixed; ``all_allocations`` lists every allocation for the plain
 
 from __future__ import annotations
 
+import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from operator import lt
 
-from .choice import agent_choose, doctor_choose, hospital_accepts, hospital_prefers
+from .choice import agent_choose, doctor_choose, hospital_prefers
 from .model import (
     Market,
     MarketError,
+    allocation_violations,
     canon,
-    check_ids,
     contract_count_balance,
     require_allocation,
-    restrict,
 )
 
 CLASSES = ("allocation", "ir", "envy-free", "stable")
@@ -79,8 +92,8 @@ class ClassificationReport:
     envy: tuple[EnvyWitness, ...]
 
 
-def is_individually_rational(market: Market, Y) -> bool:
-    Y = require_allocation(market, Y)
+def _ir(market: Market, Y: frozenset) -> bool:
+    # IR of the allocation Y: every agent's choice from its part keeps it.
     for d in market.doctors:
         own = Y & market.doctor_contracts[d.id]
         if doctor_choose(market, d.id, own) != own:
@@ -92,85 +105,92 @@ def is_individually_rational(market: Market, Y) -> bool:
     return True
 
 
-def _hospital_would_take(market: Market, Y: frozenset, x: str) -> bool:
-    # Quota shortcut for x in C_h(Y | {x}) on an allocation Y:
-    # below quota, acceptability decides; at quota, x must beat a held
-    # contract in the hospital's ranking.
-    c = market.contract_by_id[x]
-    held = Y & market.hospital_contracts[c.hospital]
-    if len(held) < market.hospital_by_id[c.hospital].quota:
-        return hospital_accepts(market, c.hospital, x)
-    return any(hospital_prefers(market, c.hospital, x, held_x) for held_x in held)
+def _blocking(market: Market, Y: frozenset) -> frozenset:
+    """The contracts outside the allocation Y that block it, unchecked.
+
+    The hospital side is tested first, by the quota shortcut: x must be
+    acceptable, and the hospital below quota or x ranked above the
+    worst contract it holds (an unacceptable one is worst of all).
+    Then the doctor side: x in C_d(Y_d | {x}).
+    """
+    rank = market.hospital_rank
+    load: Counter = Counter()
+    worst: dict[str, float] = {}
+    parts: dict[str, set] = {}
+    for x in Y:
+        c = market.contract_by_id[x]
+        load[c.hospital] += 1
+        worst[c.hospital] = max(worst.get(c.hospital, -1), rank[c.hospital].get(x, math.inf))
+        parts.setdefault(c.doctor, set()).add(x)
+    out = []
+    for c in market.contracts:
+        r = rank[c.hospital].get(c.id)
+        if r is None or c.id in Y:
+            continue
+        if load[c.hospital] >= market.hospital_by_id[c.hospital].quota and r >= worst.get(c.hospital, -1):
+            continue
+        if c.id in doctor_choose(market, c.doctor, parts.get(c.doctor, set()) | {c.id}):
+            out.append(c.id)
+    return frozenset(out)
+
+
+def _witnesses(market: Market, Y: frozenset, blocking: frozenset) -> tuple[EnvyWitness, ...]:
+    """The justified-envy witnesses of Y: the pairs of a blocking
+    contract and a held contract at its hospital that it beats."""
+    found = []
+    for xp in blocking:
+        desired = market.contract_by_id[xp]
+        h = desired.hospital
+        for x in Y & market.hospital_contracts[h]:
+            if hospital_prefers(market, h, xp, x):
+                found.append(EnvyWitness(
+                    envious=desired.doctor, envied=market.contract_by_id[x].doctor,
+                    held=x, desired=xp, hospital=h,
+                ))
+    found.sort(key=lambda w: (w.hospital, w.held, w.desired, w.envious))
+    return tuple(found)
+
+
+def _envy_free(market: Market, Y: frozenset, blocking: frozenset) -> bool:
+    return _ir(market, Y) and not _witnesses(market, Y, blocking)
+
+
+def is_individually_rational(market: Market, Y) -> bool:
+    return _ir(market, require_allocation(market, Y))
 
 
 def blocking_contracts(market: Market, Y) -> frozenset:
     """All contracts outside Y that block Y.  Requires an allocation."""
-    Y = require_allocation(market, Y)
-    out = []
-    for x in canon(frozenset(market.contract_by_id) - Y):
-        c = market.contract_by_id[x]
-        if x not in doctor_choose(market, c.doctor, Y | {x}):
-            continue
-        if _hospital_would_take(market, Y, x):
-            out.append(x)
-    return frozenset(out)
+    return _blocking(market, require_allocation(market, Y))
 
 
 def justified_envy_witnesses(market: Market, Y) -> tuple[EnvyWitness, ...]:
     """Every justified-envy instance at Y, deterministically ordered."""
     Y = require_allocation(market, Y)
-    found = []
-    for x in canon(Y):
-        held = market.contract_by_id[x]
-        h = held.hospital
-        for xp in canon(market.hospital_contracts[h] - Y):
-            if not hospital_prefers(market, h, xp, x):
-                continue
-            dp = market.contract_by_id[xp].doctor
-            if xp in doctor_choose(market, dp, Y | {xp}):
-                found.append(
-                    EnvyWitness(envious=dp, envied=held.doctor, held=x, desired=xp, hospital=h)
-                )
-    found.sort(key=lambda w: (w.hospital, w.held, w.desired, w.envious))
-    return tuple(found)
-
-
-def _has_justified_envy(market: Market, Y: frozenset) -> bool:
-    # Short-circuit variant used by the enumeration filters.
-    for x in Y:
-        held = market.contract_by_id[x]
-        h = held.hospital
-        for xp in market.hospital_contracts[h] - Y:
-            if hospital_prefers(market, h, xp, x):
-                dp = market.contract_by_id[xp].doctor
-                if xp in doctor_choose(market, dp, Y | {xp}):
-                    return True
-    return False
+    return _witnesses(market, Y, _blocking(market, Y))
 
 
 def is_envy_free(market: Market, Y) -> bool:
     Y = require_allocation(market, Y)
-    return is_individually_rational(market, Y) and not _has_justified_envy(market, Y)
+    return _envy_free(market, Y, _blocking(market, Y))
 
 
 def is_stable(market: Market, Y) -> bool:
     Y = require_allocation(market, Y)
-    return is_individually_rational(market, Y) and not blocking_contracts(market, Y)
+    return _ir(market, Y) and not _blocking(market, Y)
 
 
 def classify(market: Market, Y) -> ClassificationReport:
-    from .model import allocation_violations
-
-    Y = check_ids(market, Y)
+    Y = frozenset(Y)
     violations = tuple(allocation_violations(market, Y))
     if violations:
         return ClassificationReport(
             is_allocation=False, violations=violations, is_ir=False,
             is_envy_free=False, is_stable=False, blocking=frozenset(), envy=(),
         )
-    ir = is_individually_rational(market, Y)
-    blocking = blocking_contracts(market, Y)
-    envy = justified_envy_witnesses(market, Y)
+    ir = _ir(market, Y)
+    blocking = _blocking(market, Y)
+    envy = _witnesses(market, Y, blocking)
     return ClassificationReport(
         is_allocation=True, violations=(), is_ir=ir,
         is_envy_free=ir and not envy, is_stable=ir and not blocking,

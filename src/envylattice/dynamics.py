@@ -10,6 +10,17 @@ any envy-free start walks up to a stable outcome.  Both facts are
 asserted on every computed step; their failure means the market
 violates the choice axioms and is reported loudly.
 
+Each visited state costs one blocking pass.  The walk checks its start
+once: an allocation, IR, and no justified envy by its blocking set.
+Each round takes the starred set from the blocking set in hand, lets
+the doctors with stars re-choose (IR keeps every other doctor's part),
+checks that the image is an allocation, and computes the image's
+blocking set.  That one set gives the envy-free assertion, the next
+step of the trace and the stop test.  The Blair assertion is checked
+per doctor, C_d(T(Y)_d | Y_d) == T(Y)_d.  At the end, the fixed point
+is asserted IR with an empty blocking set.  ``tarski_step`` and
+``star_blocking`` check their input once and run the same round.
+
 The vacancy-chain operation applies this to retirements: deleting some
 doctors (and all their contracts) from a market leaves the surviving
 part of any stable allocation envy-free in the reduced market, and the
@@ -22,14 +33,14 @@ from dataclasses import dataclass
 
 from .choice import doctor_choose, hospital_prefers
 from .classify import (
-    blocking_contracts,
+    _blocking,
+    _envy_free,
+    _ir,
     enumerate_allocations,
-    is_envy_free,
-    is_stable,
     justified_envy_witnesses,
     resolve_enum_cap,
 )
-from .lattice import blair_dominates, choice_join, hospital_optimal
+from .lattice import _dominates, choice_join, hospital_optimal
 from .model import (
     HospitalSpec,
     InvariantViolation,
@@ -38,46 +49,6 @@ from .model import (
     canon,
     require_allocation,
 )
-
-
-def _require_envy_free(market: Market, Y) -> frozenset:
-    Y = require_allocation(market, Y)
-    if not is_envy_free(market, Y):
-        raise MarketError(f"allocation {canon(Y)} is not envy-free")
-    return Y
-
-
-def star_blocking(market: Market, Y) -> frozenset:
-    """Each hospital's best blocking contract at Y (its ranking decides)."""
-    Y = _require_envy_free(market, Y)
-    blocking = blocking_contracts(market, Y)
-    best: dict[str, str] = {}
-    for x in canon(blocking):
-        h = market.contract_by_id[x].hospital
-        cur = best.get(h)
-        if cur is None or hospital_prefers(market, h, x, cur):
-            best[h] = x
-    return frozenset(best.values())
-
-
-def tarski_step(market: Market, Y) -> frozenset:
-    """One adjustment round.  Requires and returns an envy-free allocation."""
-    Y = _require_envy_free(market, Y)
-    starred = star_blocking(market, Y)
-    result: set = set()
-    for d in market.doctors:
-        gained = starred & market.doctor_contracts[d.id]
-        result |= doctor_choose(market, d.id, Y | gained)
-    out = frozenset(result)
-    if not is_envy_free(market, out):
-        raise InvariantViolation(
-            f"adjustment round left the envy-free set at {canon(Y)} -> {canon(out)}"
-        )
-    if not blair_dominates(market, out, Y):
-        raise InvariantViolation(
-            f"adjustment round moved doctors down the Blair order at {canon(Y)}"
-        )
-    return out
 
 
 @dataclass(frozen=True)
@@ -101,17 +72,67 @@ class TarskiTrace:
     iterations: int
 
 
-def _describe(market: Market, Y: frozenset) -> TarskiStep:
-    blocking = blocking_contracts(market, Y)
-    starred = star_blocking(market, Y)
-    per_doctor = {}
-    for d in sorted(market.doctor_contracts):
-        gained = starred & market.doctor_contracts[d]
-        if gained:
-            per_doctor[d] = gained
+def _require_envy_free(market: Market, Y) -> tuple[frozenset, frozenset]:
+    """Y, checked to be an envy-free allocation, and its blocking set."""
+    Y = require_allocation(market, Y)
+    blocking = _blocking(market, Y)
+    if not _envy_free(market, Y, blocking):
+        raise MarketError(f"allocation {canon(Y)} is not envy-free")
+    return Y, blocking
+
+
+def _step(market: Market, Y: frozenset, blocking: frozenset) -> TarskiStep:
+    """Y with its blocking set, each hospital's best blocking contract
+    (the starred set, its ranking decides) and the stars of each doctor."""
+    best: dict[str, str] = {}
+    for x in blocking:
+        h = market.contract_by_id[x].hospital
+        if h not in best or hospital_prefers(market, h, x, best[h]):
+            best[h] = x
+    per_doctor: dict[str, set] = {}
+    for x in best.values():
+        per_doctor.setdefault(market.contract_by_id[x].doctor, set()).add(x)
     return TarskiStep(
-        allocation=Y, blocking=blocking, starred=starred, per_doctor=per_doctor
+        allocation=Y, blocking=blocking, starred=frozenset(best.values()),
+        per_doctor={d: frozenset(per_doctor[d]) for d in sorted(per_doctor)},
     )
+
+
+def _apply(market: Market, step: TarskiStep) -> tuple[frozenset, frozenset]:
+    """One adjustment round from the envy-free ``step.allocation``.
+
+    Each doctor with stars re-chooses from their part plus the stars;
+    every other doctor keeps their part, which IR makes their choice.
+    Returns the image and its blocking set, the one blocking pass of
+    the round, after asserting both theorems on it.
+    """
+    Y = step.allocation
+    result = set(Y)
+    for d, gained in step.per_doctor.items():
+        own = Y & market.doctor_contracts[d]
+        result -= own
+        result |= doctor_choose(market, d, own | gained)
+    out = require_allocation(market, result)
+    blocking = _blocking(market, out)
+    if not _envy_free(market, out, blocking):
+        raise InvariantViolation(
+            f"adjustment round left the envy-free set at {canon(Y)} -> {canon(out)}"
+        )
+    if not _dominates(market, out, Y):
+        raise InvariantViolation(
+            f"adjustment round moved doctors down the Blair order at {canon(Y)}"
+        )
+    return out, blocking
+
+
+def star_blocking(market: Market, Y) -> frozenset:
+    """Each hospital's best blocking contract at Y (its ranking decides)."""
+    return _step(market, *_require_envy_free(market, Y)).starred
+
+
+def tarski_step(market: Market, Y) -> frozenset:
+    """One adjustment round.  Requires and returns an envy-free allocation."""
+    return _apply(market, _step(market, *_require_envy_free(market, Y)))[0]
 
 
 def default_iteration_cap(market: Market) -> int:
@@ -128,24 +149,25 @@ def tarski_fixed_point(market: Market, Y, cap: int | None = None) -> TarskiTrace
     a hard fault: on an axiom-satisfying market the walk provably
     terminates well inside it.
     """
-    Y = _require_envy_free(market, Y)
+    return _walk(market, *_require_envy_free(market, Y), cap)
+
+
+def _walk(market: Market, Y: frozenset, blocking: frozenset, cap: int | None) -> TarskiTrace:
+    # The walk from the envy-free Y with blocking set ``blocking``.
     if cap is None:
         cap = default_iteration_cap(market)
-    steps = [_describe(market, Y)]
-    current = Y
+    steps = [_step(market, Y, blocking)]
     while steps[-1].blocking:
         if len(steps) > cap:
             raise InvariantViolation(
                 f"no fixed point within {cap} iterations; the market "
                 "violates the choice axioms"
             )
-        current = tarski_step(market, current)
-        steps.append(_describe(market, current))
-    if not is_stable(market, current):
+        Y, blocking = _apply(market, steps[-1])
+        steps.append(_step(market, Y, blocking))
+    if not _ir(market, Y) or blocking:
         raise InvariantViolation("iteration stopped on a non-stable allocation")
-    return TarskiTrace(
-        steps=tuple(steps), fixed_point=current, iterations=len(steps) - 1
-    )
+    return TarskiTrace(steps=tuple(steps), fixed_point=Y, iterations=len(steps) - 1)
 
 
 @dataclass(frozen=True)
@@ -187,20 +209,20 @@ def vacancy_chain(
     if not event.retiring:
         raise MarketError("retiring set must be nonempty")
     before = require_allocation(market, event.before)
-    if not is_stable(market, before):
+    if not _ir(market, before) or _blocking(market, before):
         raise MarketError(f"allocation {canon(before)} is not stable in this market")
     reduced = reduce_market(market, event.retiring)
     surviving = frozenset(
         x for x in before if market.contract_by_id[x].doctor not in event.retiring
     )
-    if not is_envy_free(reduced, surviving):
+    blocking = _blocking(reduced, surviving)
+    if not _envy_free(reduced, surviving, blocking):
         witnesses = justified_envy_witnesses(reduced, surviving)
         raise InvariantViolation(
             "surviving allocation is not envy-free in the reduced market; "
             f"restriction={canon(surviving)} witnesses={witnesses}"
         )
-    trace = tarski_fixed_point(reduced, surviving, cap)
-    return reduced, trace
+    return reduced, _walk(reduced, surviving, blocking, cap)
 
 
 @dataclass(frozen=True)
@@ -241,7 +263,7 @@ def verify_lad_predictions(market: Market, Y, cap: int | None = None) -> Theorem
     from .choice import check_lad
 
     cap = resolve_enum_cap(cap)  # a bad ENVYLATTICE_ENUM_CAP is refused first
-    Y = _require_envy_free(market, Y)
+    Y, blocking = _require_envy_free(market, Y)
     lad_failures = tuple(
         d.id
         for d in sorted(market.doctors, key=lambda s: s.id)
@@ -249,7 +271,7 @@ def verify_lad_predictions(market: Market, Y, cap: int | None = None) -> Theorem
     )
     stable = enumerate_allocations(market, "stable", cap)
     y_hosp = hospital_optimal(market, cap)
-    trace = tarski_fixed_point(market, Y)
+    trace = _walk(market, Y, blocking, None)
     joined = choice_join(market, Y, y_hosp)
 
     checks: dict[str, CheckVerdict] = {}
@@ -261,8 +283,8 @@ def verify_lad_predictions(market: Market, Y, cap: int | None = None) -> Theorem
             "iterations": trace.iterations,
         },
     )
-    dominates = blair_dominates(market, Y, y_hosp)
-    y_stable = is_stable(market, Y)
+    dominates = _dominates(market, Y, y_hosp)
+    y_stable = not blocking  # Y is envy-free, so IR
     checks["dominating_envy_free_is_stable"] = CheckVerdict(
         holds=(not dominates) or y_stable,
         detail={"dominates_hospital_optimal": dominates, "is_stable": y_stable},

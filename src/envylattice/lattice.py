@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .choice import doctor_choose
-from .classify import enumerate_allocations, is_individually_rational, is_stable
+from .classify import _blocking, _ir, enumerate_allocations
 from .model import (
     InvariantViolation,
     Market,
@@ -39,7 +39,7 @@ from .model import (
 
 def _require_ir(market: Market, Y) -> frozenset:
     Y = require_allocation(market, Y)
-    if not is_individually_rational(market, Y):
+    if not _ir(market, Y):
         raise MarketError(f"allocation {canon(Y)} is not individually rational")
     return Y
 
@@ -63,6 +63,11 @@ def blair_dominates(market: Market, Y, Yp, weak: bool = True) -> bool:
     Yp = _require_ir(market, Yp)
     if not weak and Y == Yp:
         return False
+    return _dominates(market, Y, Yp)
+
+
+def _dominates(market: Market, Y: frozenset, Yp: frozenset) -> bool:
+    # Weak Blair dominance, unchecked: C_d(Y_d | Yp_d) == Y_d for every d.
     union = Y | Yp
     for d in market.doctors:
         own = Y & market.doctor_contracts[d.id]
@@ -219,7 +224,7 @@ def hasse(market: Market, cap: int | None = None) -> LatticeGraph:
             reach |= below[k]
         covers.extend((j, i) for j in _bits(strict & ~reach))
     covers.sort()
-    stable = tuple(is_stable(market, Y) for Y in nodes)
+    stable = tuple(not _blocking(market, Y) for Y in nodes)  # envy-free, so IR
     bottom = nodes.index(frozenset())
     return LatticeGraph(
         nodes=tuple(nodes), covers=tuple(covers), stable=stable, bottom=bottom

@@ -12,7 +12,10 @@ import itertools
 import random
 
 from envylattice import (
+    InvariantViolation,
     Market,
+    MarketError,
+    NotAnAllocationError,
     canon,
     doctor_choose,
     hospital_choose,
@@ -20,9 +23,11 @@ from envylattice import (
     is_envy_free,
     is_individually_rational,
     is_stable,
+    reduce_market,
     restrict,
 )
 from envylattice.choice import hospital_prefers
+from envylattice.dynamics import TarskiStep, TarskiTrace, default_iteration_cap
 
 
 def powerset_allocations(market: Market, kind: str) -> list[frozenset]:
@@ -117,6 +122,17 @@ def hospital_choice_oracle(market: Market, hospital: str, offered) -> frozenset:
             if key < best_key:
                 best, best_key = frozenset(combo), key
     return best
+
+
+def brute_ir(market: Market, Y) -> bool:
+    """Every agent, asked to choose from its own part of Y, keeps it all."""
+    return all(
+        doctor_choose(market, d, restrict(market, Y, d)) == restrict(market, Y, d)
+        for d in market.doctor_by_id
+    ) and all(
+        hospital_choose(market, h, restrict(market, Y, h)) == restrict(market, Y, h)
+        for h in market.hospital_by_id
+    )
 
 
 def brute_blocking(market: Market, Y) -> frozenset:
@@ -263,3 +279,96 @@ def first_witness_oracle(market: Market, doctor: str, prop: str, limits) -> tupl
             if prop == "lad" and len(choose(T)) > len(C):
                 return False, sampled, witness(S, T)
     return True, sampled, None
+
+
+
+def _brute_envy_free(market: Market, Y: frozenset) -> bool:
+    return brute_ir(market, Y) and not brute_envy(market, Y)
+
+
+def stepwise_round(market: Market, Y: frozenset) -> frozenset:
+    """One adjustment round from the definitions, on an envy-free Y.
+
+    Every doctor, starred or not, chooses from their part plus their
+    stars.  The image must be an allocation, envy-free, and above Y in
+    the Blair order, with each condition asked of its brute-force twin.
+    """
+    starred = brute_starred(market, Y)
+    out = frozenset().union(*(
+        doctor_choose(market, d, Y | (starred & own))
+        for d, own in market.doctor_contracts.items()
+    ))
+    if not is_allocation(market, out):
+        raise NotAnAllocationError(f"round produced a non-allocation {canon(out)}")
+    if not _brute_envy_free(market, out):
+        raise InvariantViolation(f"round left the envy-free set at {canon(Y)}")
+    if not brute_dominance(market, [out, Y])[0][1]:
+        raise InvariantViolation(f"round moved doctors down the Blair order at {canon(Y)}")
+    return out
+
+
+def brute_starred(market: Market, Y) -> frozenset:
+    """Each hospital's best-ranked contract among the brute blocking set."""
+    blocking = brute_blocking(market, Y)
+    return frozenset(
+        min(mine, key=market.hospital_rank[h].__getitem__)
+        for h, pool in market.hospital_contracts.items()
+        if (mine := blocking & pool)
+    )
+
+
+def stepwise_trace(market: Market, Y, cap: int | None = None) -> TarskiTrace:
+    """The Tarski walk one round at a time, each state described afresh.
+
+    Every visited state has its blocking and starred sets recomputed
+    from the definitions, and the walk stops on the first state with no
+    blocking contract, which must then be IR.
+    """
+
+    def describe(Y: frozenset) -> TarskiStep:
+        starred = brute_starred(market, Y)
+        per_doctor = {}
+        for d in sorted(market.doctor_contracts):
+            gained = starred & market.doctor_contracts[d]
+            if gained:
+                per_doctor[d] = gained
+        return TarskiStep(
+            allocation=Y, blocking=brute_blocking(market, Y), starred=starred,
+            per_doctor=per_doctor,
+        )
+
+    Y = frozenset(Y)
+    if not is_allocation(market, Y):
+        raise NotAnAllocationError(f"not an allocation: {canon(Y)}")
+    if not _brute_envy_free(market, Y):
+        raise MarketError(f"allocation {canon(Y)} is not envy-free")
+    if cap is None:
+        cap = default_iteration_cap(market)
+    steps = [describe(Y)]
+    while steps[-1].blocking:
+        if len(steps) > cap:
+            raise InvariantViolation(f"no fixed point within {cap} iterations")
+        Y = stepwise_round(market, Y)
+        steps.append(describe(Y))
+    if not brute_ir(market, Y):
+        raise InvariantViolation("iteration stopped on a non-stable allocation")
+    return TarskiTrace(steps=tuple(steps), fixed_point=Y, iterations=len(steps) - 1)
+
+
+def stepwise_vacancy(market: Market, event, cap: int | None = None) -> tuple[Market, TarskiTrace]:
+    """A vacancy chain: the stable check, the reduced market, the
+    survivors' envy check, then ``stepwise_trace``."""
+    if not event.retiring:
+        raise MarketError("retiring set must be nonempty")
+    before = frozenset(event.before)
+    if not is_allocation(market, before):
+        raise NotAnAllocationError(f"not an allocation: {canon(before)}")
+    if not brute_ir(market, before) or brute_blocking(market, before):
+        raise MarketError(f"allocation {canon(before)} is not stable in this market")
+    reduced = reduce_market(market, event.retiring)
+    surviving = frozenset(
+        x for x in before if market.contract_by_id[x].doctor not in event.retiring
+    )
+    if not _brute_envy_free(reduced, surviving):
+        raise InvariantViolation("surviving allocation is not envy-free in the reduced market")
+    return reduced, stepwise_trace(reduced, surviving, cap)

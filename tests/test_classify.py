@@ -36,7 +36,7 @@ from conftest import (
     LD_STABLE,
     small_markets,
 )
-from oracles import brute_blocking, brute_envy, powerset_allocations
+from oracles import brute_blocking, brute_envy, brute_ir, powerset_allocations
 
 # the module, which the package's ``classify`` function shadows
 classify_module = importlib.import_module("envylattice.classify")
@@ -95,8 +95,8 @@ def test_envy_free_search_skips_the_leaf_filters(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the envy-free search ran a per-leaf filter")
 
-    monkeypatch.setattr(classify_module, "is_individually_rational", forbidden)
-    monkeypatch.setattr(classify_module, "_has_justified_envy", forbidden)
+    monkeypatch.setattr(classify_module, "_ir", forbidden)
+    monkeypatch.setattr(classify_module, "_blocking", forbidden)
     assert len(enumerate_allocations(market, "envy-free")) == 328
 
 
@@ -189,6 +189,21 @@ def test_stability_decomposition(no_lad, lattice_demo):
             ir = is_individually_rational(market, Y)
             assert is_stable(market, Y) == (ir and not blocking_contracts(market, Y))
             assert is_envy_free(market, Y) == (ir and not justified_envy_witnesses(market, Y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_markets())
+def test_envy_and_stability_read_from_blocking(market):
+    for Y in enumerate_allocations(market, "allocation"):
+        ir = brute_ir(market, Y)
+        assert is_individually_rational(market, Y) == ir, canon(Y)
+        blocking, envy = brute_blocking(market, Y), brute_envy(market, Y)
+        assert is_envy_free(market, Y) == (ir and not envy), canon(Y)
+        assert is_stable(market, Y) == (ir and not blocking), canon(Y)
+        rep = classify(market, Y)
+        assert (rep.is_ir, rep.is_envy_free, rep.is_stable) == (ir, ir and not envy, ir and not blocking)
+        assert rep.blocking == blocking
+        assert [(w.envious, w.envied, w.held, w.desired, w.hospital) for w in rep.envy] == envy
 
 
 def test_stable_implies_envy_free(no_lad, lattice_demo):

@@ -2,18 +2,33 @@
 
 from __future__ import annotations
 
-import pytest
+import importlib
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+
+import oracles
 from envylattice import (
+    Contract,
+    DoctorSpec,
     GenParams,
+    HospitalSpec,
     InvariantViolation,
+    Market,
     MarketError,
     RetirementEvent,
+    TableDoctor,
     blair_dominates,
+    blocking_contracts,
+    canon,
+    classify,
     enumerate_allocations,
     generate_responsive_market,
     is_envy_free,
+    is_individually_rational,
     is_stable,
+    justified_envy_witnesses,
     reduce_market,
     star_blocking,
     tarski_fixed_point,
@@ -29,7 +44,14 @@ from conftest import (
     EF_MIDDLE,
     HOSPITAL_OPT,
     LD_DOCTOR_OPT,
+    small_markets,
 )
+
+# the modules, which the package's functions of the same names shadow
+classify_module = importlib.import_module("envylattice.classify")
+dynamics_module = importlib.import_module("envylattice.dynamics")
+lattice_module = importlib.import_module("envylattice.lattice")
+model_module = importlib.import_module("envylattice.model")
 
 
 def test_star_blocking_golden(no_lad):
@@ -233,3 +255,124 @@ def test_lad_report_requires_envy_free_start(no_lad):
 def test_fixed_point_requires_envy_free_start(no_lad):
     with pytest.raises(MarketError):
         tarski_fixed_point(no_lad, frozenset({"x12"}))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (MarketError, InvariantViolation) as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_markets())
+def test_walk_matches_stepwise_oracle(market):
+    for Y in enumerate_allocations(market, "envy-free"):
+        assert _outcome(tarski_fixed_point, market, Y) == _outcome(
+            oracles.stepwise_trace, market, Y
+        ), canon(Y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_markets())
+def test_vacancy_chain_matches_stepwise_oracle(market):
+    for before in enumerate_allocations(market, "stable"):
+        for retiree in sorted(market.doctor_by_id):
+            event = RetirementEvent(retiring=frozenset({retiree}), before=before)
+            assert _outcome(vacancy_chain, market, event) == _outcome(
+                oracles.stepwise_vacancy, market, event
+            ), (canon(before), retiree)
+
+
+# One table doctor with two contracts at a quota-2 hospital that ranks
+# c02 first.  From the empty allocation only c01 blocks, the doctor
+# signs it, and then envies themself: c02 would now be chosen.
+LEAVES_ENVY_FREE = Market(
+    doctors=(DoctorSpec(id="d1", choice=TableDoctor(table={
+        frozenset({"c01"}): frozenset({"c01"}),
+        frozenset({"c02"}): frozenset(),
+        frozenset({"c01", "c02"}): frozenset({"c02"}),
+    })),),
+    hospitals=(HospitalSpec(id="h1", quota=2, ranking=("c02", "c01")),),
+    contracts=(Contract(id="c01", doctor="d1", hospital="h1"),
+               Contract(id="c02", doctor="d1", hospital="h1")),
+)
+
+# One table doctor holding c03 is offered c01 and c02, picks c01 alone,
+# yet would keep c03 beside c01: the round moved them down.
+MOVES_DOWN = Market(
+    doctors=(DoctorSpec(id="d1", choice=TableDoctor(table={
+        frozenset({"c01"}): frozenset({"c01"}),
+        frozenset({"c02"}): frozenset({"c02"}),
+        frozenset({"c03"}): frozenset({"c03"}),
+        frozenset({"c01", "c02"}): frozenset({"c01"}),
+        frozenset({"c01", "c03"}): frozenset({"c01", "c03"}),
+        frozenset({"c02", "c03"}): frozenset({"c02"}),
+        frozenset({"c01", "c02", "c03"}): frozenset({"c01"}),
+    })),),
+    hospitals=(HospitalSpec(id="h1", quota=1, ranking=("c01",)),
+               HospitalSpec(id="h2", quota=2, ranking=("c03", "c02"))),
+    contracts=(Contract(id="c01", doctor="d1", hospital="h1"),
+               Contract(id="c02", doctor="d1", hospital="h2"),
+               Contract(id="c03", doctor="d1", hospital="h2")),
+)
+
+
+@pytest.mark.parametrize("step", [tarski_step, tarski_fixed_point, oracles.stepwise_trace])
+def test_round_that_leaves_the_envy_free_set_raises(step):
+    with pytest.raises(InvariantViolation, match="left the envy-free set"):
+        step(LEAVES_ENVY_FREE, frozenset())
+
+
+@pytest.mark.parametrize("step", [tarski_step, tarski_fixed_point, oracles.stepwise_trace])
+def test_round_that_moves_a_doctor_down_raises(step):
+    Y = frozenset({"c03"})
+    assert is_envy_free(MOVES_DOWN, Y)
+    with pytest.raises(InvariantViolation, match="down the Blair order"):
+        step(MOVES_DOWN, Y)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Calls of the blocking pass and of ``allocation_violations``, by name."""
+    calls = Counter()
+
+    def count(name, original):
+        def counter(*args):
+            calls[name] += 1
+            return original(*args)
+        return counter
+
+    blocking = count("_blocking", classify_module._blocking)
+    for owner in (classify_module, dynamics_module, lattice_module):
+        monkeypatch.setattr(owner, "_blocking", blocking)
+    violations = count("allocation_violations", model_module.allocation_violations)
+    for owner in (model_module, classify_module, lattice_module):
+        monkeypatch.setattr(owner, "allocation_violations", violations)
+    return calls
+
+
+def test_walk_computes_blocking_once_per_state(no_lad, lattice_demo, counted):
+    starts = [(m, Y) for m in (no_lad, lattice_demo) for Y in enumerate_allocations(m, "envy-free")]
+    x300 = generate_responsive_market(
+        GenParams(20, 13, 300, seed=1, doctor_quota=(1, 3), hospital_quota=(1, 4))
+    )
+    starts.append((x300, frozenset()))
+    for market, Y in starts:
+        counted.clear()
+        trace = tarski_fixed_point(market, Y)
+        # the start check, then one pass and one allocation check per round
+        assert counted == {
+            "_blocking": trace.iterations + 1,
+            "allocation_violations": trace.iterations + 1,
+        }, canon(Y)
+    assert trace.iterations > 1
+
+
+def test_point_predicates_check_once(no_lad, counted):
+    for fn in (classify, is_envy_free, is_stable, is_individually_rational,
+               blocking_contracts, justified_envy_witnesses):
+        counted.clear()
+        fn(no_lad, EF_LOW)
+        assert counted["allocation_violations"] == 1, fn.__name__
+        assert counted["_blocking"] <= 1, fn.__name__
