@@ -23,10 +23,9 @@ at its hospital that it beats, so Y has justified envy exactly when
 some blocking contract ranks above the worst contract held at its
 hospital.  No choice axiom is needed for this: the desired contract of
 a witness is acceptable and beats a held one, so its hospital would
-take it, and it blocks.  Each
-public predicate checks its input once with ``require_allocation`` and
-``classify`` runs ``allocation_violations`` once; everything below them
-is unchecked.
+take it, and it blocks.  Each public predicate checks its input once
+with ``require_allocation`` and ``classify`` runs
+``allocation_violations`` once; everything below them is unchecked.
 
 Every condition above is local: IR is a condition on each doctor's part
 Y_d and each hospital's load, and a justified-envy witness involves one
