@@ -33,7 +33,8 @@ hospital and two doctors' parts.  ``enumerate_allocations`` exploits
 this with one depth-first search over the doctors that fixes one IR part
 per doctor and settles each witness as soon as both of its doctors are
 fixed; ``all_allocations`` lists every allocation for the plain
-``allocation`` class.
+``allocation`` class.  Each asserts the restriction accounting identity
+once, on the contracts its leaves are drawn from, and so on every leaf.
 """
 
 from __future__ import annotations
@@ -223,12 +224,11 @@ def _check_cap(market: Market, cap: int | None) -> None:
         )
 
 
-def _balanced(market: Market, Y: frozenset) -> frozenset:
-    """Y, once the restriction accounting identity is asserted on it."""
+def _balanced(market: Market, Y: frozenset) -> None:
+    """Assert the restriction accounting identity on Y and so on its subsets."""
     bd, bh, size = contract_count_balance(market, Y)
     if not bd == bh == size:
         raise AssertionError("restriction accounting identity failed")
-    return Y
 
 
 def all_allocations(market: Market, cap: int | None = None) -> list[frozenset]:
@@ -241,6 +241,7 @@ def all_allocations(market: Market, cap: int | None = None) -> list[frozenset]:
     overridable via the ENVYLATTICE_ENUM_CAP environment variable).
     """
     _check_cap(market, cap)
+    _balanced(market, frozenset(c.id for c in market.contracts))
     pairs: dict[tuple[str, str], list[str]] = {}
     for c in market.contracts:
         pairs.setdefault((c.doctor, c.hospital), []).append(c.id)
@@ -254,7 +255,7 @@ def all_allocations(market: Market, cap: int | None = None) -> list[frozenset]:
 
     def walk(i: int):
         if i == len(pair_list):
-            out.append(_balanced(market, frozenset(chosen)))
+            out.append(frozenset(chosen))
             return
         walk(i + 1)
         hospital, ids = pair_list[i]
@@ -330,6 +331,7 @@ def _search(market: Market, kind: str) -> list[frozenset]:
     index = {h.id: i for i, h in enumerate(hospitals)}
     quota = [h.quota for h in hospitals]
     levels = [_ir_parts(market, d, index) for d in sorted(market.doctor_by_id)]
+    _balanced(market, frozenset().union(*(p.contracts for parts in levels for p in parts)))
     none = max((len(h.ranking) for h in hospitals), default=0)  # beyond every rank
     envy = kind != "ir"
     chosen: list[frozenset] = []
@@ -341,7 +343,7 @@ def _search(market: Market, kind: str) -> list[frozenset]:
                 load[h] < quota[h] and best[h] < none for h in range(n)
             ):
                 return
-            out.append(_balanced(market, frozenset().union(*chosen)))
+            out.append(frozenset().union(*chosen))
             return
         for part in levels[level]:
             nload, nworst, nbest = load[:], worst[:], best[:]

@@ -40,7 +40,7 @@ from .classify import (
     justified_envy_witnesses,
     resolve_enum_cap,
 )
-from .lattice import _dominates, choice_join, hospital_optimal
+from .lattice import _dominates, _extremum, _stable_extremes, choice_join
 from .model import (
     HospitalSpec,
     InvariantViolation,
@@ -245,11 +245,11 @@ class TheoremReport:
     checks: dict[str, CheckVerdict]
 
 
-def verify_lad_predictions(market: Market, Y, cap: int | None = None) -> TheoremReport:
+def verify_lad_predictions(market: Market, Y) -> TheoremReport:
     """Check the consequences of the law of aggregate demand at Y.
 
-    ``cap`` is the enumeration cap of the stable set; the walk from Y
-    runs under its own default iteration cap.
+    The stable set is enumerated once and gives the hospital-optimal
+    allocation; the walk from Y runs under its default iteration cap.
 
     * fixed_point_equals_join: iterating from the envy-free Y lands on
       join(Y, hospital-optimal stable allocation);
@@ -262,7 +262,7 @@ def verify_lad_predictions(market: Market, Y, cap: int | None = None) -> Theorem
     """
     from .choice import check_lad
 
-    cap = resolve_enum_cap(cap)  # a bad ENVYLATTICE_ENUM_CAP is refused first
+    cap = resolve_enum_cap(None)  # a bad ENVYLATTICE_ENUM_CAP is refused first
     Y, blocking = _require_envy_free(market, Y)
     lad_failures = tuple(
         d.id
@@ -270,7 +270,7 @@ def verify_lad_predictions(market: Market, Y, cap: int | None = None) -> Theorem
         if not check_lad(market, d.id).passed
     )
     stable = enumerate_allocations(market, "stable", cap)
-    y_hosp = hospital_optimal(market, cap)
+    y_hosp = _extremum(_stable_extremes(market, stable)[1])
     trace = _walk(market, Y, blocking, None)
     joined = choice_join(market, Y, y_hosp)
 

@@ -11,19 +11,22 @@ On the envy-free set the order is a lattice.  The join has a closed
 form: let every doctor choose from the union and collect the results.
 The meet is computed extensionally, as the join of all common lower
 bounds within the complete enumerated envy-free set; no intensional
-meet formula is assumed.
+meet formula is assumed.  These guarantees are theorems on the
+envy-free set; the computations are well defined on IR allocations.
 
-``join`` checks that its inputs are individually rational allocations
-and that its result is an allocation.  Envy-freeness of the inputs is
-the domain on which the lattice guarantees (closure, least upper bound)
-are theorems; the computation itself is well defined on any pair of IR
-allocations, and callers that need the guarantees should enumerate or
-check envy-freeness explicitly.
+Each input is checked once: ``blair_dominates`` and ``join`` check that
+their inputs are IR allocations (``join`` also its result), and ``meet``
+checks each member of its set.  Below them the per-doctor test
+``_dominates`` and its bitset rows ``_dominance_rows`` run unchecked;
+``hasse`` reduces the rows, and the stable extremes are read off them:
+the Blair-greatest has a full row, the Blair-least its bit in every row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .choice import doctor_choose
 from .classify import _blocking, _ir, enumerate_allocations
@@ -98,30 +101,24 @@ def join(market: Market, Y, Yp) -> frozenset:
 def meet(market: Market, Y, Yp, envy_free) -> frozenset:
     """Greatest lower bound of Y and Yp within the enumerated envy-free set.
 
-    ``envy_free`` must be the complete enumeration; the meet is computed
-    extensionally as the join of all common lower bounds, then verified
-    to be a common lower bound itself.
+    ``envy_free`` must be the complete enumeration, Y and Yp among its
+    members.  Each member is checked once to be an IR allocation; the
+    common lower bounds, picked with the unchecked ``_dominates``, are
+    joined, and the join is verified to be a common lower bound itself.
     """
     Y = frozenset(Y)
     Yp = frozenset(Yp)
     members = {frozenset(Z) for Z in envy_free}
     for name, Z in (("left", Y), ("right", Yp)):
         if Z not in members:
-            raise MarketError(
-                f"{name} allocation {canon(Z)} is not in the supplied envy-free set"
-            )
-    lower = [
-        Z
-        for Z in sorted(members, key=canon)
-        if blair_dominates(market, Y, Z) and blair_dominates(market, Yp, Z)
-    ]
+            raise MarketError(f"{name} allocation {canon(Z)} is not in the supplied envy-free set")
+    nodes = [_require_ir(market, Z) for Z in sorted(members, key=canon)]
+    lower = [Z for Z in nodes if _dominates(market, Y, Z) and _dominates(market, Yp, Z)]
     if not lower:
         # The empty allocation is envy-free and below everything, so a
         # complete enumeration always yields at least one lower bound.
         raise MarketError("supplied envy-free set has no common lower bound; is it complete?")
-    glb = lower[0]
-    for Z in lower[1:]:
-        glb = join(market, glb, Z)
+    glb = reduce(lambda a, b: join(market, a, b), lower)
     if not (blair_dominates(market, Y, glb) and blair_dominates(market, Yp, glb)):
         raise InvariantViolation(
             "join of the common lower bounds is not itself a lower bound; "
@@ -208,14 +205,14 @@ class LatticeGraph:
         return height
 
 
-def hasse(market: Market, cap: int | None = None) -> LatticeGraph:
+def hasse(market: Market) -> LatticeGraph:
     """Enumerate the envy-free set and build its Hasse diagram.
 
     With below(i) the nodes strictly dominated by node i, as a bitset,
     the covers of i are below(i) minus the union of below(k) over k in
     below(i): O(n^2) big-int operations on the dominance rows.
     """
-    nodes = enumerate_allocations(market, "envy-free", cap)
+    nodes = enumerate_allocations(market, "envy-free")
     below = [row & ~(1 << i) for i, row in enumerate(_dominance_rows(market, nodes))]
     covers = []
     for i, strict in enumerate(below):
@@ -231,31 +228,32 @@ def hasse(market: Market, cap: int | None = None) -> LatticeGraph:
     )
 
 
-def _stable_set(market: Market, cap: int | None) -> list[frozenset]:
-    stable = enumerate_allocations(market, "stable", cap)
+def _stable_extremes(market: Market, stable: list[frozenset]) -> tuple:
+    """(Blair-greatest, Blair-least) of an enumerated stable set, None where
+    missing: the first node whose row is full, the first set in every row."""
     if not stable:
-        raise InvariantViolation(
-            "stable set is empty; the market violates the choice axioms"
-        )
-    return stable
+        raise InvariantViolation("stable set is empty; the market violates the choice axioms")
+    rows = _dominance_rows(market, stable)
+    return (
+        next((Y for Y, row in zip(stable, rows) if row.bit_count() == len(stable)), None),
+        next((stable[j] for j in _bits(reduce(and_, rows))), None),
+    )
 
 
-def doctor_optimal(market: Market, cap: int | None = None) -> frozenset:
+def _extremum(Y: frozenset | None) -> frozenset:
+    if Y is None:
+        raise InvariantViolation("no Blair-extremum in stable set")
+    return Y
+
+
+def doctor_optimal(market: Market) -> frozenset:
     """The stable allocation every doctor weakly prefers (Blair-greatest)."""
-    stable = _stable_set(market, cap)
-    for Y in stable:
-        if all(blair_dominates(market, Y, Z) for Z in stable):
-            return Y
-    raise InvariantViolation("no Blair-extremum in stable set")
+    return _extremum(_stable_extremes(market, enumerate_allocations(market, "stable"))[0])
 
 
-def hospital_optimal(market: Market, cap: int | None = None) -> frozenset:
+def hospital_optimal(market: Market) -> frozenset:
     """The Blair-least stable allocation (doctors' unanimous worst)."""
-    stable = _stable_set(market, cap)
-    for Y in stable:
-        if all(blair_dominates(market, Z, Y) for Z in stable):
-            return Y
-    raise InvariantViolation("no Blair-extremum in stable set")
+    return _extremum(_stable_extremes(market, enumerate_allocations(market, "stable"))[1])
 
 
 def _node_label(Y: frozenset) -> str:

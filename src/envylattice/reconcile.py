@@ -115,9 +115,9 @@ def _disqualifiers(market: Market, Y: frozenset, want_stable: bool) -> tuple:
     return tuple(out)
 
 
-def reconcile(market: Market, reference: Reference, cap: int | None = None) -> ReconciliationReport:
+def reconcile(market: Market, reference: Reference) -> ReconciliationReport:
     """Diff the computed envy-free lattice against the reference claims."""
-    graph: LatticeGraph = hasse(market, cap)
+    graph: LatticeGraph = hasse(market)
     computed = {Y: i for i, Y in enumerate(graph.nodes)}
     computed_stable = {Y for Y, i in computed.items() if graph.stable[i]}
     cover_set = {

@@ -16,13 +16,16 @@ from envylattice import (
     Market,
     MarketError,
     NotAnAllocationError,
+    blair_dominates,
     canon,
     doctor_choose,
+    enumerate_allocations,
     hospital_choose,
     is_allocation,
     is_envy_free,
     is_individually_rational,
     is_stable,
+    join,
     reduce_market,
     restrict,
 )
@@ -83,6 +86,47 @@ def triple_loop_covers(dom) -> list[tuple[int, int]]:
         and dom[hi][lo]
         and not any(k not in (lo, hi) and dom[hi][k] and dom[k][lo] for k in range(n))
     ]
+
+
+def extensional_meet(market: Market, Y, Yp, envy_free) -> frozenset:
+    """The meet as the join of every common lower bound in ``envy_free``,
+    each bound asked of the checked ``blair_dominates``."""
+    Y = frozenset(Y)
+    Yp = frozenset(Yp)
+    members = {frozenset(Z) for Z in envy_free}
+    for name, Z in (("left", Y), ("right", Yp)):
+        if Z not in members:
+            raise MarketError(
+                f"{name} allocation {canon(Z)} is not in the supplied envy-free set"
+            )
+    lower = [
+        Z
+        for Z in sorted(members, key=canon)
+        if blair_dominates(market, Y, Z) and blair_dominates(market, Yp, Z)
+    ]
+    if not lower:
+        raise MarketError("supplied envy-free set has no common lower bound; is it complete?")
+    glb = lower[0]
+    for Z in lower[1:]:
+        glb = join(market, glb, Z)
+    if not (blair_dominates(market, Y, glb) and blair_dominates(market, Yp, glb)):
+        raise InvariantViolation(
+            "join of the common lower bounds is not itself a lower bound; "
+            "the supplied set is not a complete envy-free enumeration"
+        )
+    return glb
+
+
+def scan_optima(market: Market) -> tuple:
+    """(doctor-optimal, hospital-optimal) stable allocations by comparing
+    every pair of stable allocations with ``blair_dominates``; None where
+    no stable allocation is Blair-greatest (or least)."""
+    stable = enumerate_allocations(market, "stable")
+    if not stable:
+        raise InvariantViolation("stable set is empty; the market violates the choice axioms")
+    top = [Y for Y in stable if all(blair_dominates(market, Y, Z) for Z in stable)]
+    bottom = [Y for Y in stable if all(blair_dominates(market, Z, Y) for Z in stable)]
+    return (top[0] if top else None), (bottom[0] if bottom else None)
 
 
 def doctor_choice_oracle(market: Market, doctor: str, offered) -> frozenset:

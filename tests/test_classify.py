@@ -86,18 +86,51 @@ def test_enumerator_equals_subset_filter_on_random_markets(market):
         assert enumerate_allocations(market, kind) == powerset_allocations(market, kind), kind
 
 
-def test_envy_free_search_skips_the_leaf_filters(monkeypatch):
+@pytest.fixture(scope="module")
+def baseline_x22() -> Market:
     # the X=22 baseline market: 280,800 allocations, 328 of them envy-free
-    market = generate_responsive_market(
+    return generate_responsive_market(
         GenParams(7, 5, 22, seed=5, doctor_quota=(1, 3), hospital_quota=(1, 3))
     )
 
+
+def test_envy_free_search_skips_the_leaf_filters(baseline_x22, monkeypatch):
     def forbidden(*args):
         raise AssertionError("the envy-free search ran a per-leaf filter")
 
     monkeypatch.setattr(classify_module, "_ir", forbidden)
     monkeypatch.setattr(classify_module, "_blocking", forbidden)
-    assert len(enumerate_allocations(market, "envy-free")) == 328
+    assert len(enumerate_allocations(baseline_x22, "envy-free")) == 328
+
+
+def test_accounting_identity_runs_once_per_enumeration(lattice_demo, baseline_x22, monkeypatch):
+    calls = []
+    balance = classify_module.contract_count_balance
+
+    def counted(market, Y):
+        calls.append(Y)
+        return balance(market, Y)
+
+    monkeypatch.setattr(classify_module, "contract_count_balance", counted)
+    for market in (lattice_demo, baseline_x22):
+        for kind in classify_module.CLASSES:
+            calls.clear()
+            enumerate_allocations(market, kind)
+            assert len(calls) == 1, kind
+
+
+def test_accounting_identity_still_refuses_unknown_doctors():
+    # built without validation: x2 names a doctor the market does not have
+    m = Market(
+        doctors=(DoctorSpec(id="d1", choice=ResponsiveDoctor(quota=1, ranking=("x1",))),),
+        hospitals=(HospitalSpec(id="h1", quota=2, ranking=("x1", "x2")),),
+        contracts=(
+            Contract(id="x1", doctor="d1", hospital="h1"),
+            Contract(id="x2", doctor="ghost", hospital="h1"),
+        ),
+    )
+    with pytest.raises(AssertionError, match="^restriction accounting identity failed$"):
+        enumerate_allocations(m, "allocation")
 
 
 def test_unknown_class(no_lad):

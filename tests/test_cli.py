@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -334,6 +335,10 @@ def test_verify_lad_json():
     ]
 
 
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# Each run is made twice and must print the same bytes both times and
+# the bytes recorded in tests/golden/<id>.{stdout,stderr,exit}.
 DOUBLE_RUNS = [
     ("validate", str(NO_LAD_PATH)),
     ("check", str(NO_LAD_PATH), "--allocation", "x11,x23"),
@@ -345,13 +350,35 @@ DOUBLE_RUNS = [
     ("tarski", str(NO_LAD_PATH), "--from", "x21,x22", "--trace"),
     ("vacancy-chain", str(NO_LAD_PATH), "--stable", "x13,x21,x22", "--retire", "d1", "--trace"),
     ("verify-lad", str(NO_LAD_PATH), "--from", "x11,x23"),
+    *(
+        pytest.param(("enumerate", str(path), "--class", kind), id=f"enumerate-{kind}-{name}")
+        for name, path in (("no-lad", NO_LAD_PATH), ("lattice-demo", LATTICE_PATH))
+        for kind in ("allocation", "ir", "envy-free", "stable")
+        if (name, kind) != ("no-lad", "envy-free")
+    ),
+    pytest.param(("lattice", str(NO_LAD_PATH), "--format", "json"), id="lattice-json-no-lad"),
+    pytest.param(("lattice", str(NO_LAD_PATH), "--format", "dot"), id="lattice-dot-no-lad"),
+    pytest.param(
+        ("meet", str(NO_LAD_PATH), "--left", "x11,x23", "--right", "x13,x21,x22"), id="meet-no-lad"
+    ),
+    pytest.param(
+        ("meet", str(LATTICE_PATH), "--left", "x11,x12,x21,y22", "--right", "x21"),
+        id="meet-outside-envy-free",
+    ),
+    pytest.param(
+        ("verify-lad", str(LATTICE_PATH), "--from", "x11,x12,y21,y22"), id="verify-lad-lattice-demo"
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv", DOUBLE_RUNS, ids=lambda argv: argv[0])
-def test_repeat_runs_are_byte_identical(argv):
+def test_repeat_runs_are_byte_identical(argv, request):
     first = run_cli(*argv)
     second = run_cli(*argv)
     assert first.returncode == second.returncode
     assert first.stdout == second.stdout
     assert first.stderr == second.stderr
+    golden = GOLDEN_DIR / request.node.callspec.id
+    assert first.stdout == golden.with_suffix(".stdout").read_bytes()
+    assert first.stderr == golden.with_suffix(".stderr").read_bytes()
+    assert first.returncode == int(golden.with_suffix(".exit").read_text())

@@ -376,3 +376,19 @@ def test_point_predicates_check_once(no_lad, counted):
         fn(no_lad, EF_LOW)
         assert counted["allocation_violations"] == 1, fn.__name__
         assert counted["_blocking"] <= 1, fn.__name__
+
+
+def test_verify_lad_enumerates_the_stable_set_once(no_lad, lattice_demo, monkeypatch):
+    starts = [(m, Y) for m in (no_lad, lattice_demo) for Y in enumerate_allocations(m, "envy-free")]
+    searched = []
+    search = classify_module._search
+
+    def counted(market, kind):
+        searched.append(kind)
+        return search(market, kind)
+
+    monkeypatch.setattr(classify_module, "_search", counted)
+    for market, Y in starts:
+        searched.clear()
+        verify_lad_predictions(market, Y)
+        assert searched == ["stable"], canon(Y)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 from functools import lru_cache
 
 import pytest
@@ -41,7 +42,24 @@ from conftest import (
     LD_JOIN_VALUE,
     small_markets,
 )
-from oracles import brute_dominance, powerset_allocations, triple_loop_covers
+from oracles import (
+    brute_dominance,
+    extensional_meet,
+    powerset_allocations,
+    scan_optima,
+    triple_loop_covers,
+)
+
+lattice_module = importlib.import_module("envylattice.lattice")
+model_module = importlib.import_module("envylattice.model")
+
+
+def _outcome(fn, *args):
+    """What fn(*args) returns, or the class of the refusal it raises."""
+    try:
+        return fn(*args)
+    except (MarketError, InvariantViolation) as exc:
+        return type(exc)
 
 
 def test_golden_dominance_chain(no_lad):
@@ -134,6 +152,39 @@ def test_meet_rejects_nonmembers(no_lad):
         meet(no_lad, frozenset({"x11"}), DOCTOR_OPT, [Y for Y in nodes if Y != frozenset({"x11"})])
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_markets())
+def test_meet_matches_extensional_oracle(market):
+    nodes = enumerate_allocations(market, "envy-free")
+    for a in nodes:
+        for b in nodes:
+            assert _outcome(meet, market, a, b, nodes) == _outcome(
+                extensional_meet, market, a, b, nodes
+            ), (canon(a), canon(b))
+
+
+def test_meet_checks_each_member_once(no_lad, lattice_demo, monkeypatch):
+    calls = []
+    violations = model_module.allocation_violations
+
+    def counted(*args):
+        calls.append(args)
+        return violations(*args)
+
+    for owner in (model_module, lattice_module):
+        monkeypatch.setattr(owner, "allocation_violations", counted)
+    for market in (no_lad, lattice_demo):
+        nodes = enumerate_allocations(market, "envy-free")
+        dom = dominance_matrix(market, nodes)
+        for i, a in enumerate(nodes):
+            for j, b in enumerate(nodes):
+                lower = sum(dom[i][k] and dom[j][k] for k in range(len(nodes)))
+                calls.clear()
+                meet(market, a, b, nodes)
+                # one check per member, three per join, four in the final test
+                assert len(calls) <= len(nodes) + 3 * lower + 4
+
+
 def test_hasse_against_reachability_oracle(no_lad, lattice_demo):
     for market in (no_lad, lattice_demo):
         graph = hasse(market)
@@ -202,6 +253,18 @@ def test_optima_against_scan(no_lad, lattice_demo):
         bot = hospital_optimal(market)
         assert all(blair_dominates(market, top, Z) for Z in stable)
         assert all(blair_dominates(market, Z, bot) for Z in stable)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_markets())
+def test_optima_match_scan_oracle(market):
+    try:
+        expected = scan_optima(market)
+    except InvariantViolation:
+        expected = (None, None)
+    assert (_outcome(doctor_optimal, market), _outcome(hospital_optimal, market)) == tuple(
+        InvariantViolation if Y is None else Y for Y in expected
+    )
 
 
 def test_empty_stable_set_is_a_fault():
