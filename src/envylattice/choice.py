@@ -101,15 +101,6 @@ def hospital_choose(market: Market, hospital: str, S) -> frozenset:
     return chosen
 
 
-def agent_choose(market: Market, agent: str, S) -> frozenset:
-    """Dispatch to the doctor or hospital evaluator by agent id."""
-    if agent in market.doctor_by_id:
-        return doctor_choose(market, agent, S)
-    if agent in market.hospital_by_id:
-        return hospital_choose(market, agent, S)
-    raise UnknownIdError(f"unknown agent id: {agent!r}")
-
-
 def hospital_prefers(market: Market, hospital: str, a: str, b: str) -> bool:
     """Strict contract-level comparison a > b for ``hospital``.
 
@@ -120,11 +111,6 @@ def hospital_prefers(market: Market, hospital: str, a: str, b: str) -> bool:
     if a not in rank:
         return False
     return b not in rank or rank[a] < rank[b]
-
-
-def hospital_accepts(market: Market, hospital: str, x: str) -> bool:
-    """Whether signing x alone beats the empty set for ``hospital``."""
-    return x in market.hospital_rank[hospital]
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import lt
 
-from .choice import agent_choose, doctor_choose, hospital_prefers
+from .choice import doctor_choose, hospital_choose, hospital_prefers
 from .model import (
     Market,
     MarketError,
@@ -100,7 +100,7 @@ def _ir(market: Market, Y: frozenset) -> bool:
             return False
     for h in market.hospitals:
         own = Y & market.hospital_contracts[h.id]
-        if agent_choose(market, h.id, own) != own:
+        if hospital_choose(market, h.id, own) != own:
             return False
     return True
 
@@ -198,15 +198,13 @@ def classify(market: Market, Y) -> ClassificationReport:
     )
 
 
-def resolve_enum_cap(cap: int | None) -> int:
-    """The enumeration cap: ``cap``, else ENVYLATTICE_ENUM_CAP, else 22.
+def resolve_enum_cap() -> int:
+    """The enumeration cap: ENVYLATTICE_ENUM_CAP, else 22.
 
     This is the one reader of the environment variable.  A set variable
     must hold an integer (``int`` syntax, so surrounding blanks are
     fine); anything else, the empty string included, is a refusal.
     """
-    if cap is not None:
-        return cap
     env = os.environ.get(ENUM_CAP_ENV)
     if env is None:
         return DEFAULT_ENUM_CAP
@@ -216,8 +214,8 @@ def resolve_enum_cap(cap: int | None) -> int:
         raise MarketError(f"{ENUM_CAP_ENV} must be an integer, got {env!r}") from None
 
 
-def _check_cap(market: Market, cap: int | None) -> None:
-    cap = resolve_enum_cap(cap)
+def _check_cap(market: Market) -> None:
+    cap = resolve_enum_cap()
     if len(market.contracts) > cap:
         raise EnumerationCapError(
             f"market has {len(market.contracts)} contracts, enumeration cap is {cap}"
@@ -231,7 +229,7 @@ def _balanced(market: Market, Y: frozenset) -> None:
         raise AssertionError("restriction accounting identity failed")
 
 
-def all_allocations(market: Market, cap: int | None = None) -> list[frozenset]:
+def all_allocations(market: Market) -> list[frozenset]:
     """Every allocation, canonically sorted.
 
     Walks doctor-hospital pairs depth-first, assigning each pair either
@@ -240,7 +238,7 @@ def all_allocations(market: Market, cap: int | None = None) -> list[frozenset]:
     2^|X|.  Refuses markets above the cap (default 22 contracts,
     overridable via the ENVYLATTICE_ENUM_CAP environment variable).
     """
-    _check_cap(market, cap)
+    _check_cap(market)
     _balanced(market, frozenset(c.id for c in market.contracts))
     pairs: dict[tuple[str, str], list[str]] = {}
     for c in market.contracts:
@@ -365,9 +363,7 @@ def _search(market: Market, kind: str) -> list[frozenset]:
     return out
 
 
-def enumerate_allocations(
-    market: Market, kind: str = "allocation", cap: int | None = None
-) -> list[frozenset]:
+def enumerate_allocations(market: Market, kind: str = "allocation") -> list[frozenset]:
     """All allocations of the requested solution class, canonically sorted.
 
     ``allocation`` lists every allocation (``all_allocations``).  The
@@ -381,6 +377,6 @@ def enumerate_allocations(
     if kind not in CLASSES:
         raise MarketError(f"unknown class {kind!r}, expected one of {CLASSES}")
     if kind == "allocation":
-        return all_allocations(market, cap)
-    _check_cap(market, cap)
+        return all_allocations(market)
+    _check_cap(market)
     return _search(market, kind)

@@ -177,8 +177,11 @@ def cmd_random(args) -> int:
     )
     market = generate_responsive_market(params)
     text = serialize.market_to_text(market)
-    with open(args.out, "w") as fh:
-        fh.write(text)
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise MarketError(f"cannot write {args.out}: {exc.strerror}") from None
     _emit({"out": args.out, "contracts": len(market.contracts)})
     return 0
 

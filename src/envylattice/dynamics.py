@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .choice import doctor_choose, hospital_prefers
+from .choice import check_lad, doctor_choose, hospital_prefers
 from .classify import (
     _blocking,
     _envy_free,
@@ -152,7 +152,7 @@ def tarski_fixed_point(market: Market, Y, cap: int | None = None) -> TarskiTrace
     return _walk(market, *_require_envy_free(market, Y), cap)
 
 
-def _walk(market: Market, Y: frozenset, blocking: frozenset, cap: int | None) -> TarskiTrace:
+def _walk(market: Market, Y: frozenset, blocking: frozenset, cap: int | None = None) -> TarskiTrace:
     # The walk from the envy-free Y with blocking set ``blocking``.
     if cap is None:
         cap = default_iteration_cap(market)
@@ -196,9 +196,7 @@ def reduce_market(market: Market, retiring) -> Market:
     return Market(doctors=doctors, hospitals=hospitals, contracts=contracts)
 
 
-def vacancy_chain(
-    market: Market, event: RetirementEvent, cap: int | None = None
-) -> tuple[Market, TarskiTrace]:
+def vacancy_chain(market: Market, event: RetirementEvent) -> tuple[Market, TarskiTrace]:
     """Re-stabilize after retirements.
 
     Checks that ``event.before`` is stable, builds the reduced market,
@@ -222,7 +220,7 @@ def vacancy_chain(
             "surviving allocation is not envy-free in the reduced market; "
             f"restriction={canon(surviving)} witnesses={witnesses}"
         )
-    return reduced, _walk(reduced, surviving, blocking, cap)
+    return reduced, _walk(reduced, surviving, blocking)
 
 
 @dataclass(frozen=True)
@@ -260,18 +258,16 @@ def verify_lad_predictions(market: Market, Y) -> TheoremReport:
     * stable_counts_constant: every agent signs the same number of
       contracts in every stable allocation.
     """
-    from .choice import check_lad
-
-    cap = resolve_enum_cap(None)  # a bad ENVYLATTICE_ENUM_CAP is refused first
+    resolve_enum_cap()  # a bad ENVYLATTICE_ENUM_CAP is refused first
     Y, blocking = _require_envy_free(market, Y)
     lad_failures = tuple(
         d.id
         for d in sorted(market.doctors, key=lambda s: s.id)
         if not check_lad(market, d.id).passed
     )
-    stable = enumerate_allocations(market, "stable", cap)
+    stable = enumerate_allocations(market, "stable")
     y_hosp = _extremum(_stable_extremes(market, stable)[1])
-    trace = _walk(market, Y, blocking, None)
+    trace = _walk(market, Y, blocking)
     joined = choice_join(market, Y, y_hosp)
 
     checks: dict[str, CheckVerdict] = {}

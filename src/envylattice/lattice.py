@@ -56,17 +56,12 @@ def choice_join(market: Market, Y: frozenset, Yp: frozenset) -> frozenset:
     return frozenset(out)
 
 
-def blair_dominates(market: Market, Y, Yp, weak: bool = True) -> bool:
-    """Whether Y dominates Yp in the doctor-side Blair order.
+def blair_dominates(market: Market, Y, Yp) -> bool:
+    """Whether Y weakly dominates Yp in the doctor-side Blair order.
 
-    Both arguments must be individually rational allocations.  With
-    ``weak=False`` the comparison is strict (dominance plus inequality).
+    Both arguments must be individually rational allocations.
     """
-    Y = _require_ir(market, Y)
-    Yp = _require_ir(market, Yp)
-    if not weak and Y == Yp:
-        return False
-    return _dominates(market, Y, Yp)
+    return _dominates(market, _require_ir(market, Y), _require_ir(market, Yp))
 
 
 def _dominates(market: Market, Y: frozenset, Yp: frozenset) -> bool:

@@ -35,6 +35,7 @@ from .model import (
     TableDoctor,
     UnknownIdError,
     canon,
+    check_ids,
 )
 from .validate import ValidationReport, validate_market
 
@@ -132,20 +133,21 @@ def decode_json(text: str | bytes):
     """The JSON value of ``text``; malformed JSON is a ParseError.
 
     Bytes are decoded the way ``json.loads`` does it (UTF-8, -16 or
-    -32), so undecodable bytes are malformed JSON too.
+    -32), so undecodable bytes are malformed JSON too, and so is nesting
+    too deep for the decoder's recursion.
     """
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
 
 
-def parse_market(text: str | bytes, limits=None) -> Market:
+def parse_market(text: str | bytes) -> Market:
     """Parse and validate a market document."""
-    return market_from_doc(decode_json(text), limits)
+    return market_from_doc(decode_json(text))
 
 
-def market_from_doc(doc, limits=None) -> Market:
+def market_from_doc(doc) -> Market:
     """Build and validate a market from a decoded document.
 
     Raises ParseError on malformed documents and FatalValidationError
@@ -154,8 +156,7 @@ def market_from_doc(doc, limits=None) -> Market:
     demand, do not block parsing.
     """
     market = market_from_json(doc)
-    kwargs = {} if limits is None else {"limits": limits}
-    report = validate_market(market, **kwargs)
+    report = validate_market(market)
     if not report.ok:
         raise FatalValidationError("market fails validation", report)
     return market
@@ -211,11 +212,7 @@ def allocation_from_csv(market: Market, text: str) -> frozenset:
     dupes = sorted({i for i in ids if ids.count(i) > 1})
     if dupes:
         raise UnknownIdError(f"contract ids repeated in allocation literal: {dupes}")
-    Y = frozenset(ids)
-    unknown = sorted(x for x in Y if x not in market.contract_by_id)
-    if unknown:
-        raise UnknownIdError(f"unknown contract ids: {unknown}")
-    return Y
+    return check_ids(market, ids)
 
 
 def doctor_ids_from_csv(market: Market, text: str) -> frozenset:

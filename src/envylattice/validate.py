@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .choice import DEFAULT_LIMITS, PROPERTIES, CHECKERS, PropertyWitness, ValidationLimits
+from .choice import PROPERTIES, CHECKERS, PropertyWitness
 from .model import Market, TableDoctor
 
 
@@ -80,17 +80,20 @@ def _structural(market: Market) -> list[ValidationEntry]:
         # Ids are unusable; the per-agent checks below assume clean indexes.
         return bad
 
-    for h in market.hospitals:
-        if h.quota < 1:
-            flag(h.id, "hospital", f"hospital {h.id} has quota {h.quota}, expected >= 1")
-        own = market.hospital_contracts[h.id]
+    def quota_rule(agent, kind, quota, ranking, own, pronoun):
+        # A positive quota over a ranking of own contracts, each once.
+        if quota < 1:
+            flag(agent, kind, f"{kind} {agent} has quota {quota}, expected >= 1")
         seen_r: set[str] = set()
-        for cid in h.ranking:
+        for cid in ranking:
             if cid in seen_r:
-                flag(h.id, "hospital", f"hospital {h.id} ranks {cid} twice")
+                flag(agent, kind, f"{kind} {agent} ranks {cid} twice")
             seen_r.add(cid)
             if cid not in own:
-                flag(h.id, "hospital", f"hospital {h.id} ranks {cid}, which does not name it")
+                flag(agent, kind, f"{kind} {agent} ranks {cid}, which does not name {pronoun}")
+
+    for h in market.hospitals:
+        quota_rule(h.id, "hospital", h.quota, h.ranking, market.hospital_contracts[h.id], "it")
 
     for d in market.doctors:
         own = market.doctor_contracts[d.id]
@@ -110,21 +113,11 @@ def _structural(market: Market) -> list[ValidationEntry]:
             if usable != want:
                 flag(d.id, "doctor", f"doctor {d.id} table has {usable} valid rows, needs {want} (one per nonempty subset)")
         else:
-            if rule.quota < 1:
-                flag(d.id, "doctor", f"doctor {d.id} has quota {rule.quota}, expected >= 1")
-            seen_r = set()
-            for cid in rule.ranking:
-                if cid in seen_r:
-                    flag(d.id, "doctor", f"doctor {d.id} ranks {cid} twice")
-                seen_r.add(cid)
-                if cid not in own:
-                    flag(d.id, "doctor", f"doctor {d.id} ranks {cid}, which does not name them")
+            quota_rule(d.id, "doctor", rule.quota, rule.ranking, own, "them")
     return bad
 
 
-def validate_market(
-    market: Market, limits: ValidationLimits = DEFAULT_LIMITS
-) -> ValidationReport:
+def validate_market(market: Market) -> ValidationReport:
     """Validate structure first, then the choice axioms doctor by doctor.
 
     Deterministic: identical markets produce identical reports, including
@@ -137,7 +130,7 @@ def validate_market(
     entries: list[ValidationEntry] = []
     for d in sorted(market.doctors, key=lambda s: s.id):
         for prop in PROPERTIES:
-            outcome = CHECKERS[prop](market, d.id, limits)
+            outcome = CHECKERS[prop](market, d.id)
             severity = "informative" if prop == "lad" else "fatal"
             entries.append(
                 ValidationEntry(

@@ -29,7 +29,7 @@ from envylattice import (
     validate_market,
 )
 from envylattice import choice
-from envylattice.choice import DEFAULT_LIMITS, agent_choose, hospital_accepts, hospital_prefers
+from envylattice.choice import DEFAULT_LIMITS, hospital_prefers
 
 from oracles import (
     doctor_choice_oracle,
@@ -95,13 +95,6 @@ def test_unknown_agent(no_lad):
         doctor_choose(no_lad, "d9", {"x11"})
     with pytest.raises(UnknownIdError):
         hospital_choose(no_lad, "h9", {"x11"})
-    with pytest.raises(UnknownIdError):
-        agent_choose(no_lad, "zzz", {"x11"})
-
-
-def test_agent_choose_dispatch(no_lad):
-    assert agent_choose(no_lad, "d2", {"x21"}) == frozenset({"x21"})
-    assert agent_choose(no_lad, "h1", {"x11", "x21"}) == frozenset({"x21"})
 
 
 def test_partial_table_is_a_hard_fault():
@@ -120,8 +113,6 @@ def test_hospital_prefers(no_lad):
     # unranked contracts lose to ranked ones and never win
     assert hospital_prefers(no_lad, "h1", "x21", "x13")
     assert not hospital_prefers(no_lad, "h1", "x13", "x21")
-    assert hospital_accepts(no_lad, "h3", "x23")
-    assert not hospital_accepts(no_lad, "h1", "x13")
 
 
 def test_quota_rule_against_oracle_seeded():

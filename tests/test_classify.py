@@ -138,17 +138,11 @@ def test_unknown_class(no_lad):
         enumerate_allocations(no_lad, "everything")
 
 
-def test_enumeration_cap(no_lad):
-    with pytest.raises(EnumerationCapError):
-        enumerate_allocations(no_lad, "allocation", cap=3)
-    # the cap bounds the contract count, not the result count
-    assert enumerate_allocations(no_lad, "allocation", cap=6)
-
-
 def test_env_var_cap(no_lad, monkeypatch):
     monkeypatch.setenv("ENVYLATTICE_ENUM_CAP", "4")
     with pytest.raises(EnumerationCapError):
         enumerate_allocations(no_lad, "allocation")
+    # the cap bounds the contract count, not the result count
     monkeypatch.setenv("ENVYLATTICE_ENUM_CAP", "6")
     assert len(enumerate_allocations(no_lad, "allocation")) == 27
 

@@ -95,6 +95,19 @@ def test_non_utf8_market_is_a_parse_error(tmp_path, argv):
     assert proc.stderr == b""
 
 
+@pytest.mark.parametrize("argv", [("validate",), ("check", "--allocation", "")])
+def test_deep_nesting_is_a_parse_error(tmp_path, argv):
+    bad = tmp_path / "deep.market.json"
+    bad.write_text('{"contracts": ' + "[" * 5_000 + "]" * 5_000 + "}")
+    command, *rest = argv
+    proc = run_cli(command, str(bad), *rest)
+    assert proc.returncode == 2
+    payload, line = split_json_and_line(proc.stdout)
+    assert payload["error"]["type"] == "parse"
+    assert line.startswith("error: not valid JSON")
+    assert proc.stderr == b""
+
+
 @pytest.mark.parametrize(
     "reference, message",
     [
@@ -317,6 +330,21 @@ def test_random_writes_valid_market(tmp_path):
         "--contracts", "6", "--seed", "5", "--out", str(out2),
     )
     assert out.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("out", ["missing/market.json", "."], ids=["no-directory", "directory"])
+def test_random_unwritable_out_is_a_refusal(tmp_path, out):
+    target = tmp_path / out
+    proc = run_cli(
+        "random", "--doctors", "2", "--hospitals", "2",
+        "--contracts", "6", "--seed", "5", "--out", str(target),
+    )
+    assert proc.returncode == 1
+    payload, line = split_json_and_line(proc.stdout)
+    assert payload["error"]["type"] == "refusal"
+    assert payload["error"]["message"].startswith(f"cannot write {target}: ")
+    assert line.startswith("error: cannot write")
+    assert proc.stderr == b""
 
 
 def test_verify_lad_json():

@@ -76,6 +76,10 @@ def test_parse_errors():
         parse_market("[1, 2]")
     with pytest.raises(ParseError):
         parse_market('{"contracts": []}')
+    # nesting deeper than the decoder recurses is malformed JSON too
+    for deep in ("[" * 200_000, '{"contracts": ' + "[" * 5_000 + "]" * 5_000 + "}"):
+        with pytest.raises(ParseError, match="^not valid JSON: "):
+            parse_market(deep)
     doc = json.loads(NO_LAD_PATH.read_text())
     doc["doctors"][0]["kind"] = "exotic"
     with pytest.raises(ParseError, match="responsive"):
