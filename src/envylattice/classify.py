@@ -155,6 +155,15 @@ def _envy_free(market: Market, Y: frozenset, blocking: frozenset) -> bool:
     return _ir(market, Y) and not _witnesses(market, Y, blocking)
 
 
+def _require_envy_free(market: Market, Y) -> tuple[frozenset, frozenset]:
+    """Y, checked to be an envy-free allocation, and its blocking set."""
+    Y = require_allocation(market, Y)
+    blocking = _blocking(market, Y)
+    if not _envy_free(market, Y, blocking):
+        raise MarketError(f"allocation {canon(Y)} is not envy-free")
+    return Y, blocking
+
+
 def is_individually_rational(market: Market, Y) -> bool:
     return _ir(market, require_allocation(market, Y))
 
@@ -265,7 +274,12 @@ def all_allocations(market: Market) -> list[frozenset]:
                 chosen.pop()
             load[hospital] -= 1
 
-    walk(0)
+    try:
+        walk(0)
+    except RecursionError:
+        raise EnumerationCapError(
+            f"enumeration search is {len(pair_list)} levels deep, past the recursion limit"
+        ) from None
     out.sort(key=canon)
     return out
 
@@ -285,11 +299,13 @@ class _Part:
     desired: tuple[tuple[int, int], ...]
 
 
-def _ir_parts(market: Market, doctor: str, index: dict[str, int]) -> list[_Part]:
-    """Every S within X_d with C_d(S) == S, distinct hospitals, and every
-    contract acceptable to its hospital."""
+def _ir_parts(market: Market, doctor: str, index: dict[str, int], below) -> list[_Part]:
+    """Every S within X_d with C_d(S) == S, distinct hospitals, every
+    contract acceptable to its hospital, and C_d(B | S) == B_d for each
+    allocation B in ``below``."""
     rank = market.hospital_rank
-    hospital_of = {x: market.contract_by_id[x].hospital for x in market.doctor_contracts[doctor]}
+    own = market.doctor_contracts[doctor]
+    hospital_of = {x: market.contract_by_id[x].hospital for x in own}
     by_hospital: dict[str, list[str]] = {}
     for x in canon(hospital_of):
         if x in rank[hospital_of[x]]:
@@ -299,7 +315,9 @@ def _ir_parts(market: Market, doctor: str, index: dict[str, int]) -> list[_Part]
         candidates += [S | {x} for S in candidates for x in ids]
     parts = []
     for S in candidates:
-        if doctor_choose(market, doctor, S) != S:
+        if doctor_choose(market, doctor, S) != S or any(
+            doctor_choose(market, doctor, B | S) != B & own for B in below
+        ):
             continue
         held = tuple((index[hospital_of[x]], rank[hospital_of[x]][x]) for x in S)
         best: dict[int, int] = {}
@@ -312,11 +330,13 @@ def _ir_parts(market: Market, doctor: str, index: dict[str, int]) -> list[_Part]
     return parts
 
 
-def _search(market: Market, kind: str) -> list[frozenset]:
+def _search(market: Market, kind: str, below=()) -> list[frozenset]:
     """IR, envy-free or stable allocations by a DFS over doctors.
 
     Doctors are fixed in sorted id order, each to one of its IR parts,
-    and a part that would put a hospital above quota is skipped.  Per
+    and a part that would put a hospital above quota is skipped.  Parts
+    that some allocation in ``below`` does not dominate are dropped, so
+    the leaves are the members of the class below all of them.  Per
     hospital the search keeps the worst held rank and the best desired
     rank over the doctors fixed so far.  A desired rank better than a
     held rank is exactly a justified-envy witness, and fixing more
@@ -328,7 +348,7 @@ def _search(market: Market, kind: str) -> list[frozenset]:
     n = len(hospitals)
     index = {h.id: i for i, h in enumerate(hospitals)}
     quota = [h.quota for h in hospitals]
-    levels = [_ir_parts(market, d, index) for d in sorted(market.doctor_by_id)]
+    levels = [_ir_parts(market, d, index, below) for d in sorted(market.doctor_by_id)]
     _balanced(market, frozenset().union(*(p.contracts for parts in levels for p in parts)))
     none = max((len(h.ranking) for h in hospitals), default=0)  # beyond every rank
     envy = kind != "ir"
@@ -358,7 +378,12 @@ def _search(market: Market, kind: str) -> list[frozenset]:
             walk(level + 1, nload, nworst, nbest)
             chosen.pop()
 
-    walk(0, [0] * n, [-1] * n, [none] * n)
+    try:
+        walk(0, [0] * n, [-1] * n, [none] * n)
+    except RecursionError:
+        raise EnumerationCapError(
+            f"enumeration search is {len(levels)} levels deep, past the recursion limit"
+        ) from None
     out.sort(key=canon)
     return out
 

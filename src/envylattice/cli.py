@@ -126,8 +126,7 @@ def cmd_meet(args) -> int:
     market, _ = _load_market(args.market)
     left = serialize.allocation_from_csv(market, args.left)
     right = serialize.allocation_from_csv(market, args.right)
-    envy_free = enumerate_allocations(market, "envy-free")
-    result = meet(market, left, right, envy_free)
+    result = meet(market, left, right)
     _emit({"meet": serialize.allocation_to_list(result)})
     return 0
 

@@ -36,6 +36,7 @@ from .classify import (
     _blocking,
     _envy_free,
     _ir,
+    _require_envy_free,
     enumerate_allocations,
     justified_envy_witnesses,
     resolve_enum_cap,
@@ -70,15 +71,6 @@ class TarskiTrace:
     steps: tuple[TarskiStep, ...]
     fixed_point: frozenset
     iterations: int
-
-
-def _require_envy_free(market: Market, Y) -> tuple[frozenset, frozenset]:
-    """Y, checked to be an envy-free allocation, and its blocking set."""
-    Y = require_allocation(market, Y)
-    blocking = _blocking(market, Y)
-    if not _envy_free(market, Y, blocking):
-        raise MarketError(f"allocation {canon(Y)} is not envy-free")
-    return Y, blocking
 
 
 def _step(market: Market, Y: frozenset, blocking: frozenset) -> TarskiStep:

@@ -9,14 +9,14 @@ fixed-point dynamics.
 
 On the envy-free set the order is a lattice.  The join has a closed
 form: let every doctor choose from the union and collect the results.
-The meet is computed extensionally, as the join of all common lower
-bounds within the complete enumerated envy-free set; no intensional
-meet formula is assumed.  These guarantees are theorems on the
-envy-free set; the computations are well defined on IR allocations.
+The meet joins all common lower bounds, which the envy-free search
+lists when each doctor keeps only the parts both inputs dominate; no
+intensional meet formula is assumed.  These guarantees are theorems on
+the envy-free set; the computations are well defined on IR allocations.
 
 Each input is checked once: ``blair_dominates`` and ``join`` check that
-their inputs are IR allocations (``join`` also its result), and ``meet``
-checks each member of its set.  Below them the per-doctor test
+their inputs are IR allocations (``join`` also its result), ``meet``
+that its inputs are envy-free.  Below them the per-doctor test
 ``_dominates`` and its bitset rows ``_dominance_rows`` run unchecked;
 ``hasse`` reduces the rows, and the stable extremes are read off them:
 the Blair-greatest has a full row, the Blair-least its bit in every row.
@@ -29,7 +29,7 @@ from functools import reduce
 from operator import and_
 
 from .choice import doctor_choose
-from .classify import _blocking, _ir, enumerate_allocations
+from .classify import _blocking, _check_cap, _ir, _require_envy_free, _search, enumerate_allocations
 from .model import (
     InvariantViolation,
     Market,
@@ -93,31 +93,22 @@ def join(market: Market, Y, Yp) -> frozenset:
     return result
 
 
-def meet(market: Market, Y, Yp, envy_free) -> frozenset:
-    """Greatest lower bound of Y and Yp within the enumerated envy-free set.
+def meet(market: Market, Y, Yp) -> frozenset:
+    """Greatest lower bound of two envy-free allocations in the Blair order.
 
-    ``envy_free`` must be the complete enumeration, Y and Yp among its
-    members.  Each member is checked once to be an IR allocation; the
-    common lower bounds, picked with the unchecked ``_dominates``, are
-    joined, and the join is verified to be a common lower bound itself.
+    After the cap and the envy-free check of both inputs, one search
+    lists the common lower bounds; their join is verified to be an IR
+    allocation and a common lower bound itself.
     """
-    Y = frozenset(Y)
-    Yp = frozenset(Yp)
-    members = {frozenset(Z) for Z in envy_free}
-    for name, Z in (("left", Y), ("right", Yp)):
-        if Z not in members:
-            raise MarketError(f"{name} allocation {canon(Z)} is not in the supplied envy-free set")
-    nodes = [_require_ir(market, Z) for Z in sorted(members, key=canon)]
-    lower = [Z for Z in nodes if _dominates(market, Y, Z) and _dominates(market, Yp, Z)]
-    if not lower:
-        # The empty allocation is envy-free and below everything, so a
-        # complete enumeration always yields at least one lower bound.
-        raise MarketError("supplied envy-free set has no common lower bound; is it complete?")
-    glb = reduce(lambda a, b: join(market, a, b), lower)
-    if not (blair_dominates(market, Y, glb) and blair_dominates(market, Yp, glb)):
+    _check_cap(market)
+    Y = _require_envy_free(market, Y)[0]
+    Yp = _require_envy_free(market, Yp)[0]
+    lower = _search(market, "envy-free", (Y, Yp))
+    glb = _require_ir(market, reduce(lambda a, b: join(market, a, b), lower))
+    if not (_dominates(market, Y, glb) and _dominates(market, Yp, glb)):
         raise InvariantViolation(
             "join of the common lower bounds is not itself a lower bound; "
-            "the supplied set is not a complete envy-free enumeration"
+            "the market violates the choice axioms"
         )
     return glb
 
@@ -252,7 +243,9 @@ def hospital_optimal(market: Market) -> frozenset:
 
 
 def _node_label(Y: frozenset) -> str:
-    return "{" + ", ".join(canon(Y)) + "}" if Y else "∅"
+    """The DOT label of Y, quote and backslash escaped for its string."""
+    label = "{" + ", ".join(canon(Y)) + "}" if Y else "∅"
+    return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def to_dot(graph: LatticeGraph) -> str:

@@ -269,7 +269,7 @@ def test_criterion_3_theorem_property_suite(capsys, suite_markets):
                             problems.append(f"{tag}: join not least ({i},{j}) vs {k}")
 
                 # (b) meets exist and are greatest lower bounds
-                mu = meet(market, Yi, Yj, ef)
+                mu = meet(market, Yi, Yj)
                 touched.add(mu)
                 ki = index.get(mu)
                 _check(problems, ki is not None, f"{tag}: meet leaves set ({i},{j})")
@@ -292,7 +292,7 @@ def test_criterion_3_theorem_property_suite(capsys, suite_markets):
         for a in range(len(stable_nodes)):
             for b in range(a, len(stable_nodes)):
                 lam = join(market, stable_nodes[a], stable_nodes[b])
-                mu = meet(market, stable_nodes[a], stable_nodes[b], ef)
+                mu = meet(market, stable_nodes[a], stable_nodes[b])
                 touched.update((lam, mu))
                 _check(problems, classify(market, lam).is_stable,
                        f"{tag}: stable join escapes ({a},{b})")

@@ -147,6 +147,15 @@ def test_env_var_cap(no_lad, monkeypatch):
     assert len(enumerate_allocations(no_lad, "allocation")) == 27
 
 
+def test_search_past_the_recursion_limit_is_refused(monkeypatch):
+    # 1,199 doctor-hospital pairs and 1,200 doctors: one frame per level
+    market = generate_responsive_market(GenParams(1200, 1200, 1200, seed=1))
+    monkeypatch.setenv("ENVYLATTICE_ENUM_CAP", "100000")
+    for kind in ("allocation", "ir", "envy-free"):
+        with pytest.raises(EnumerationCapError, match="levels deep"):
+            enumerate_allocations(market, kind)
+
+
 @pytest.mark.parametrize("value", ["", "many", "6.0"])
 def test_env_var_cap_must_be_an_integer(no_lad, monkeypatch, value):
     monkeypatch.setenv("ENVYLATTICE_ENUM_CAP", value)

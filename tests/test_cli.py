@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from envylattice import GenParams, generate_responsive_market, serialize
+
 from conftest import LATTICE_PATH, NO_LAD_PATH
 
 
@@ -181,6 +183,34 @@ def test_enumerate_cap_refusal():
     assert proc.returncode == 1
     payload, _ = split_json_and_line(proc.stdout)
     assert payload["error"]["type"] == "refusal"
+
+
+def test_meet_cap_refusal():
+    proc = run_cli(
+        "meet", str(NO_LAD_PATH), "--left", "x11,x23", "--right", "x13,x21,x22",
+        env_extra={"ENVYLATTICE_ENUM_CAP": "3"},
+    )
+    assert proc.returncode == 1
+    payload, _ = split_json_and_line(proc.stdout)
+    assert payload["error"]["type"] == "refusal"
+    assert "enumeration cap is 3" in payload["error"]["message"]
+
+
+def test_deep_search_is_a_refusal(tmp_path):
+    market = generate_responsive_market(GenParams(1200, 1200, 1200, seed=1))
+    path = tmp_path / "deep.market.json"
+    path.write_text(serialize.market_to_text(market))
+    for argv in (
+        *(("enumerate", str(path), "--class", kind) for kind in ("allocation", "ir", "envy-free")),
+        ("lattice", str(path), "--format", "json"),
+    ):
+        proc = run_cli(*argv, env_extra={"ENVYLATTICE_ENUM_CAP": "100000"})
+        assert proc.returncode == 1, argv
+        payload, line = split_json_and_line(proc.stdout)
+        assert payload["error"]["type"] == "refusal"
+        assert payload["error"]["message"].endswith("levels deep, past the recursion limit")
+        assert line == f"error: {payload['error']['message']}"
+        assert proc.stderr == b""
 
 
 def test_enum_cap_env_must_be_integer():

@@ -13,6 +13,7 @@ from envylattice import (
     DoctorSpec,
     HospitalSpec,
     InvariantViolation,
+    LatticeGraph,
     Market,
     MarketError,
     TableDoctor,
@@ -128,7 +129,7 @@ def test_meet_is_greatest_lower_bound(no_lad, lattice_demo):
         dom = dominance_matrix(market, nodes)
         for i, a in enumerate(nodes):
             for j, b in enumerate(nodes):
-                v = meet(market, a, b, nodes)
+                v = meet(market, a, b)
                 k = index[v]
                 assert dom[i][k] and dom[j][k]
                 for u in range(len(nodes)):
@@ -137,19 +138,21 @@ def test_meet_is_greatest_lower_bound(no_lad, lattice_demo):
 
 
 def test_meet_of_incomparable_stable_pair(lattice_demo):
-    nodes = enumerate_allocations(lattice_demo, "envy-free")
     m1 = frozenset({"x11", "x12", "x21", "y22"})
     m2 = frozenset({"x11", "x12", "x22", "y21"})
     assert not blair_dominates(lattice_demo, m1, m2)
     assert not blair_dominates(lattice_demo, m2, m1)
     assert join(lattice_demo, m1, m2) == LD_DOCTOR_OPT
-    assert meet(lattice_demo, m1, m2, nodes) == LD_HOSPITAL_OPT
+    assert meet(lattice_demo, m1, m2) == LD_HOSPITAL_OPT
 
 
-def test_meet_rejects_nonmembers(no_lad):
-    nodes = enumerate_allocations(no_lad, "envy-free")
-    with pytest.raises(MarketError):
-        meet(no_lad, frozenset({"x11"}), DOCTOR_OPT, [Y for Y in nodes if Y != frozenset({"x11"})])
+def test_meet_requires_envy_free_inputs(no_lad):
+    # a non-allocation, a non-IR allocation, and {x11}, which d2 envies
+    for bad in ({"x11", "x21"}, {"x11", "x12", "x13"}, {"x11"}):
+        with pytest.raises(MarketError):
+            meet(no_lad, frozenset(bad), DOCTOR_OPT)
+        with pytest.raises(MarketError):
+            meet(no_lad, DOCTOR_OPT, frozenset(bad))
 
 
 @settings(max_examples=100, deadline=None)
@@ -158,31 +161,44 @@ def test_meet_matches_extensional_oracle(market):
     nodes = enumerate_allocations(market, "envy-free")
     for a in nodes:
         for b in nodes:
-            assert _outcome(meet, market, a, b, nodes) == _outcome(
+            assert _outcome(meet, market, a, b) == _outcome(
                 extensional_meet, market, a, b, nodes
             ), (canon(a), canon(b))
 
 
-def test_meet_checks_each_member_once(no_lad, lattice_demo, monkeypatch):
+def test_meet_searches_common_lower_bounds_once(no_lad, lattice_demo, monkeypatch):
     calls = []
+    searches = []
     violations = model_module.allocation_violations
+    search = lattice_module._search
 
     def counted(*args):
         calls.append(args)
         return violations(*args)
 
+    def recorded(*args):
+        searches.append(search(*args))
+        return searches[-1]
+
+    def forbidden(*args):
+        raise AssertionError("meet enumerated a solution class")
+
     for owner in (model_module, lattice_module):
         monkeypatch.setattr(owner, "allocation_violations", counted)
+    monkeypatch.setattr(lattice_module, "_search", recorded)
+    monkeypatch.setattr(lattice_module, "enumerate_allocations", forbidden)
     for market in (no_lad, lattice_demo):
         nodes = enumerate_allocations(market, "envy-free")
         dom = dominance_matrix(market, nodes)
         for i, a in enumerate(nodes):
             for j, b in enumerate(nodes):
-                lower = sum(dom[i][k] and dom[j][k] for k in range(len(nodes)))
+                lower = [Z for k, Z in enumerate(nodes) if dom[i][k] and dom[j][k]]
                 calls.clear()
-                meet(market, a, b, nodes)
-                # one check per member, three per join, four in the final test
-                assert len(calls) <= len(nodes) + 3 * lower + 4
+                searches.clear()
+                meet(market, a, b)
+                assert searches == [lower]
+                # two inputs, three per join, one for the result
+                assert len(calls) <= 3 * len(lower)
 
 
 def test_hasse_against_reachability_oracle(no_lad, lattice_demo):
@@ -302,6 +318,14 @@ def test_dot_output(no_lad):
     assert dot.count("->") == len(graph.covers)
     assert dot.count("lightgrey") == sum(graph.stable)
     assert '"∅"' in dot
+
+
+def test_dot_labels_are_escaped():
+    graph = LatticeGraph(
+        nodes=(frozenset(), frozenset({'a"b', "a\\b"})), covers=((0, 1),),
+        stable=(False, True), bottom=0,
+    )
+    assert '  n1 [label="{a\\"b, a\\\\b}" style=' in to_dot(graph)
 
 
 def test_graph_json_shape(lattice_demo):
