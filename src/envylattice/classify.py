@@ -330,8 +330,9 @@ def _ir_parts(market: Market, doctor: str, index: dict[str, int], below) -> list
     return parts
 
 
-def _search(market: Market, kind: str, below=()) -> list[frozenset]:
-    """IR, envy-free or stable allocations by a DFS over doctors.
+def _search(market: Market, kind: str, below=()) -> list[tuple[frozenset, bool]]:
+    """IR, envy-free or stable allocations by a DFS over doctors, each
+    paired with whether it is stable, sorted by ``canon`` of the allocation.
 
     Doctors are fixed in sorted id order, each to one of its IR parts,
     and a part that would put a hospital above quota is skipped.  Parts
@@ -342,7 +343,10 @@ def _search(market: Market, kind: str, below=()) -> list[frozenset]:
     held rank is exactly a justified-envy witness, and fixing more
     doctors can only add witnesses, so the subtree is pruned.  An
     envy-free leaf is stable unless some hospital below quota is
-    desired: at quota, a blocking contract would be a witness.
+    desired: at quota, a blocking contract would beat the worst rank
+    held there and so be a witness.  This needs no choice axiom.  The
+    flag is computed only when envy is pruned, so every ``ir`` leaf is
+    flagged False; ``stable`` keeps only the flagged leaves.
     """
     hospitals = market.hospitals
     n = len(hospitals)
@@ -353,15 +357,13 @@ def _search(market: Market, kind: str, below=()) -> list[frozenset]:
     none = max((len(h.ranking) for h in hospitals), default=0)  # beyond every rank
     envy = kind != "ir"
     chosen: list[frozenset] = []
-    out: list[frozenset] = []
+    out: list[tuple[frozenset, bool]] = []
 
     def walk(level: int, load: list[int], worst: list[int], best: list[int]):
         if level == len(levels):
-            if kind == "stable" and any(
-                load[h] < quota[h] and best[h] < none for h in range(n)
-            ):
-                return
-            out.append(frozenset().union(*chosen))
+            stable = envy and not any(load[h] < quota[h] and best[h] < none for h in range(n))
+            if stable or kind != "stable":
+                out.append((frozenset().union(*chosen), stable))
             return
         for part in levels[level]:
             nload, nworst, nbest = load[:], worst[:], best[:]
@@ -384,7 +386,7 @@ def _search(market: Market, kind: str, below=()) -> list[frozenset]:
         raise EnumerationCapError(
             f"enumeration search is {len(levels)} levels deep, past the recursion limit"
         ) from None
-    out.sort(key=canon)
+    out.sort(key=lambda leaf: canon(leaf[0]))
     return out
 
 
@@ -404,4 +406,4 @@ def enumerate_allocations(market: Market, kind: str = "allocation") -> list[froz
     if kind == "allocation":
         return all_allocations(market)
     _check_cap(market)
-    return _search(market, kind)
+    return [Y for Y, _ in _search(market, kind)]

@@ -107,7 +107,7 @@ def cmd_lattice(args) -> int:
     else:
         _emit(graph_to_json(graph))
     if reference is not None:
-        report = reconcile(market, reference)
+        report = reconcile(market, reference, graph)
         sys.stderr.write(json.dumps(reconciliation_to_json(report), indent=2) + "\n")
         sys.stderr.write(render_reconciliation_text(report))
     return 0

@@ -17,9 +17,11 @@ the envy-free set; the computations are well defined on IR allocations.
 Each input is checked once: ``blair_dominates`` and ``join`` check that
 their inputs are IR allocations (``join`` also its result), ``meet``
 that its inputs are envy-free.  Below them the per-doctor test
-``_dominates`` and its bitset rows ``_dominance_rows`` run unchecked;
-``hasse`` reduces the rows, and the stable extremes are read off them:
-the Blair-greatest has a full row, the Blair-least its bit in every row.
+``_dominates`` and its bitset rows ``_dominance_rows`` run unchecked.
+``hasse`` takes its nodes and their stable flags from one envy-free
+search and reduces the rows.  The stable extremes are read off the rows
+too: the Blair-greatest has a full row, the Blair-least its bit in every
+row.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import reduce
 from operator import and_
 
 from .choice import doctor_choose
-from .classify import _blocking, _check_cap, _ir, _require_envy_free, _search, enumerate_allocations
+from .classify import _check_cap, _ir, _require_envy_free, _search, enumerate_allocations
 from .model import (
     InvariantViolation,
     Market,
@@ -103,7 +105,7 @@ def meet(market: Market, Y, Yp) -> frozenset:
     _check_cap(market)
     Y = _require_envy_free(market, Y)[0]
     Yp = _require_envy_free(market, Yp)[0]
-    lower = _search(market, "envy-free", (Y, Yp))
+    lower = (Z for Z, _ in _search(market, "envy-free", (Y, Yp)))
     glb = _require_ir(market, reduce(lambda a, b: join(market, a, b), lower))
     if not (_dominates(market, Y, glb) and _dominates(market, Yp, glb)):
         raise InvariantViolation(
@@ -192,13 +194,15 @@ class LatticeGraph:
 
 
 def hasse(market: Market) -> LatticeGraph:
-    """Enumerate the envy-free set and build its Hasse diagram.
+    """The Hasse diagram of the envy-free set, with its stable nodes.
 
-    With below(i) the nodes strictly dominated by node i, as a bitset,
-    the covers of i are below(i) minus the union of below(k) over k in
+    One envy-free search gives the nodes and their stable flags.  With
+    below(i) the nodes strictly dominated by node i, as a bitset, the
+    covers of i are below(i) minus the union of below(k) over k in
     below(i): O(n^2) big-int operations on the dominance rows.
     """
-    nodes = enumerate_allocations(market, "envy-free")
+    _check_cap(market)
+    nodes, stable = zip(*_search(market, "envy-free"))
     below = [row & ~(1 << i) for i, row in enumerate(_dominance_rows(market, nodes))]
     covers = []
     for i, strict in enumerate(below):
@@ -207,10 +211,8 @@ def hasse(market: Market) -> LatticeGraph:
             reach |= below[k]
         covers.extend((j, i) for j in _bits(strict & ~reach))
     covers.sort()
-    stable = tuple(not _blocking(market, Y) for Y in nodes)  # envy-free, so IR
-    bottom = nodes.index(frozenset())
     return LatticeGraph(
-        nodes=tuple(nodes), covers=tuple(covers), stable=stable, bottom=bottom
+        nodes=nodes, covers=tuple(covers), stable=stable, bottom=nodes.index(frozenset())
     )
 
 

@@ -2,9 +2,9 @@
 
 A market file may carry a ``reference`` block describing an expected
 envy-free lattice, for example one transcribed from an external source
-or computed by hand.  The reference is never taken as ground truth: the
-envy-free and stable sets are recomputed from the definitions, and this
-module diffs the two views claim by claim.  Every mismatch on a claimed
+or computed by hand.  The reference is never taken as ground truth:
+``reconcile`` diffs it claim by claim against the lattice computed from
+the definitions, which the caller hands in.  Every mismatch on a claimed
 allocation is itemized with the disqualifying evidence, i.e. the
 justified-envy witnesses, blocking contracts, or rationality failures
 that the definitions produce.
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .classify import classify
-from .lattice import LatticeGraph, hasse
+from .lattice import LatticeGraph
 from .model import Market, canon
 from .serialize import ParseError, envy_witness_to_json
 
@@ -34,7 +34,8 @@ def reference_from_doc(doc: dict, market: Market) -> Reference | None:
     """Extract the optional reference block from a parsed market document.
 
     Every allocation and every cover-edge side must be a list of contract
-    ids, each naming one of ``market``'s contracts.  Anything else is a
+    ids, each naming one of ``market``'s contracts, and the envy-free and
+    stable counts, when given, must be integers.  Anything else is a
     ParseError.
     """
     block = doc.get("reference")
@@ -69,6 +70,10 @@ def reference_from_doc(doc: dict, market: Market) -> Reference | None:
     counts = block.get("counts", {})
     if not isinstance(counts, dict):
         raise ParseError("reference.counts must be an object")
+    for key in ("envy_free", "stable"):
+        # JSON true and false decode to bool, which is an int subclass
+        if key in counts and type(counts[key]) is not int:
+            raise ParseError(f"reference.counts.{key} must be an integer")
     return Reference(
         envy_free=alloc_list("envy_free"),
         stable=alloc_list("stable"),
@@ -99,27 +104,37 @@ def _ids(Y) -> str:
     return "{" + ",".join(canon(Y)) + "}"
 
 
-def _disqualifiers(market: Market, Y: frozenset, want_stable: bool) -> tuple:
-    """Definition-level evidence that Y misses the claimed class."""
+def _node_row(market: Market, Y: frozenset, label: str, computed: str | None) -> ClaimRow:
+    """The row of the claim that Y is in class ``label`` (``stable`` or
+    ``envy-free``), given its class ``computed`` in the lattice (None
+    off it).  On a mismatch Y is classified once, for the evidence."""
+    claim = f"{label} {_ids(Y)}"
+    # A claimed-envy-free node that is actually stable is still a
+    # mismatch: the reference says it is not in the stable sublist.
+    if computed == label:
+        return ClaimRow(claim=claim, expected=label, computed=label, verdict="match")
     report = classify(market, Y)
-    out: list[dict] = []
     if not report.is_allocation:
-        out.extend({"kind": "not-an-allocation", "detail": v} for v in report.violations)
-        return tuple(out)
-    if not report.is_ir:
-        out.append({"kind": "not-individually-rational"})
-    for w in report.envy:
-        out.append({"kind": "justified-envy", **envy_witness_to_json(w)})
-    if want_stable and report.blocking:
-        out.append({"kind": "blocking-contracts", "contracts": sorted(report.blocking)})
-    return tuple(out)
+        witnesses = [{"kind": "not-an-allocation", "detail": v} for v in report.violations]
+        computed = "not an allocation"
+    else:
+        witnesses = [] if report.is_ir else [{"kind": "not-individually-rational"}]
+        witnesses.extend({"kind": "justified-envy", **envy_witness_to_json(w)} for w in report.envy)
+        if label == "stable" and report.blocking:
+            witnesses.append({"kind": "blocking-contracts", "contracts": sorted(report.blocking)})
+        if computed is None:
+            computed = "allocation with justified envy" if report.is_ir else "not individually rational"
+    return ClaimRow(
+        claim=claim, expected=label, computed=computed, verdict="mismatch", witnesses=tuple(witnesses)
+    )
 
 
-def reconcile(market: Market, reference: Reference) -> ReconciliationReport:
-    """Diff the computed envy-free lattice against the reference claims."""
-    graph: LatticeGraph = hasse(market)
-    computed = {Y: i for i, Y in enumerate(graph.nodes)}
-    computed_stable = {Y for Y, i in computed.items() if graph.stable[i]}
+def reconcile(market: Market, reference: Reference, graph: LatticeGraph) -> ReconciliationReport:
+    """Diff ``graph``, the envy-free lattice of ``market`` as ``hasse``
+    builds it, against the reference claims."""
+    computed = {
+        Y: "stable" if stable else "envy-free" for Y, stable in zip(graph.nodes, graph.stable)
+    }
     cover_set = {
         (graph.nodes[lo], graph.nodes[hi]) for lo, hi in graph.covers
     }
@@ -135,33 +150,22 @@ def reconcile(market: Market, reference: Reference) -> ReconciliationReport:
         )
     )
     claimed_stable_n = reference.counts.get("stable", len(reference.stable))
+    computed_stable_n = sum(graph.stable)
     rows.append(
         ClaimRow(
             claim="stable count",
             expected=claimed_stable_n,
-            computed=len(computed_stable),
-            verdict="match" if claimed_stable_n == len(computed_stable) else "mismatch",
+            computed=computed_stable_n,
+            verdict="match" if claimed_stable_n == computed_stable_n else "mismatch",
         )
     )
 
-    claimed_stable = {frozenset(Y) for Y in reference.stable}
+    claimed_stable = set(reference.stable)
     for Y in sorted(reference.envy_free, key=canon):
-        want_stable = Y in claimed_stable
-        label = "stable" if want_stable else "envy-free"
-        ok = Y in computed_stable if want_stable else (Y in computed and Y not in computed_stable)
-        # A claimed-envy-free node that is actually stable is still a
-        # mismatch: the reference says it is not in the stable sublist.
-        rows.append(
-            ClaimRow(
-                claim=f"{label} {_ids(Y)}",
-                expected=label,
-                computed=_computed_class(market, Y, computed, computed_stable),
-                verdict="match" if ok else "mismatch",
-                witnesses=() if ok else _disqualifiers(market, Y, want_stable),
-            )
-        )
+        label = "stable" if Y in claimed_stable else "envy-free"
+        rows.append(_node_row(market, Y, label, computed.get(Y)))
 
-    claimed_nodes = {frozenset(Y) for Y in reference.envy_free}
+    claimed_nodes = set(reference.envy_free)
     for Y in graph.nodes:
         if Y in claimed_nodes:
             continue
@@ -169,7 +173,7 @@ def reconcile(market: Market, reference: Reference) -> ReconciliationReport:
             ClaimRow(
                 claim=f"unlisted envy-free {_ids(Y)}",
                 expected="absent from reference",
-                computed="stable" if Y in computed_stable else "envy-free",
+                computed=computed[Y],
                 verdict="mismatch",
             )
         )
@@ -188,9 +192,9 @@ def reconcile(market: Market, reference: Reference) -> ReconciliationReport:
             ClaimRow(claim=claim, expected="cover", computed=detail, verdict="mismatch")
         )
 
+    claimed_covers = set(reference.cover_edges)
     extra_covers = sorted(
-        (edge for edge in cover_set if edge not in set(reference.cover_edges)),
-        key=lambda e: (canon(e[0]), canon(e[1])),
+        cover_set - claimed_covers, key=lambda e: (canon(e[0]), canon(e[1]))
     )
     rows.append(
         ClaimRow(
@@ -201,19 +205,6 @@ def reconcile(market: Market, reference: Reference) -> ReconciliationReport:
         )
     )
     return ReconciliationReport(rows=tuple(rows))
-
-
-def _computed_class(market, Y, computed, computed_stable) -> str:
-    if Y in computed_stable:
-        return "stable"
-    if Y in computed:
-        return "envy-free"
-    report = classify(market, Y)
-    if not report.is_allocation:
-        return "not an allocation"
-    if not report.is_ir:
-        return "not individually rational"
-    return "allocation with justified envy"
 
 
 def reconciliation_to_json(report: ReconciliationReport) -> dict:

@@ -41,6 +41,7 @@ from envylattice import (
     dominance_matrix,
     enumerate_allocations,
     generate_responsive_market,
+    hasse,
     hospital_optimal,
     join,
     meet,
@@ -152,7 +153,7 @@ def test_criterion_2_reconciliation(capsys):
 
     reference = reference_from_doc(json.loads(raw), market)
     _check(problems, reference is not None, "bundled reference block missing")
-    report = reconcile(market, reference)
+    report = reconcile(market, reference, hasse(market))
     _check(problems, len(report.rows) > 0, "reconciliation produced no rows")
 
     witness_kinds = {

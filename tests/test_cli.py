@@ -116,6 +116,9 @@ def test_deep_nesting_is_a_parse_error(tmp_path, argv):
         ({"cover_edges": [[[1], ["x"]]]}, "cover_edges sides must be lists of contract ids"),
         ({"envy_free": [["x11", "nosuch"]]}, "unknown contract ids: ['nosuch']"),
         ({"cover_edges": [[[], ["nosuch"]]]}, "unknown contract ids: ['nosuch']"),
+        # JSON true == 1, so boolean counts once reconciled as matches
+        ({"counts": {"envy_free": True, "stable": 4}}, "reference.counts.envy_free must be an integer"),
+        ({"counts": {"envy_free": 2, "stable": True}}, "reference.counts.stable must be an integer"),
     ],
 )
 def test_lattice_refuses_bad_reference_before_output(tmp_path, reference, message):

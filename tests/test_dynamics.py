@@ -344,7 +344,7 @@ def counted(monkeypatch):
         return counter
 
     blocking = count("_blocking", classify_module._blocking)
-    for owner in (classify_module, dynamics_module, lattice_module):
+    for owner in (classify_module, dynamics_module):
         monkeypatch.setattr(owner, "_blocking", blocking)
     violations = count("allocation_violations", model_module.allocation_violations)
     for owner in (model_module, classify_module, lattice_module):

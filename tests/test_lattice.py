@@ -36,6 +36,7 @@ from conftest import (
     EF_LOW,
     EF_MIDDLE,
     HOSPITAL_OPT,
+    LATTICE_PATH,
     LD_DOCTOR_OPT,
     LD_HOSPITAL_OPT,
     LD_JOIN_LEFT,
@@ -51,6 +52,8 @@ from oracles import (
     triple_loop_covers,
 )
 
+classify_module = importlib.import_module("envylattice.classify")
+cli_module = importlib.import_module("envylattice.cli")
 lattice_module = importlib.import_module("envylattice.lattice")
 model_module = importlib.import_module("envylattice.model")
 
@@ -177,8 +180,9 @@ def test_meet_searches_common_lower_bounds_once(no_lad, lattice_demo, monkeypatc
         return violations(*args)
 
     def recorded(*args):
-        searches.append(search(*args))
-        return searches[-1]
+        leaves = search(*args)
+        searches.append([Z for Z, _ in leaves])
+        return leaves
 
     def forbidden(*args):
         raise AssertionError("meet enumerated a solution class")
@@ -224,6 +228,8 @@ def test_hasse_matches_triple_loop_oracle(market):
     dom = brute_dominance(market, nodes)
     assert dominance_matrix(market, nodes) == dom
     assert list(graph.covers) == triple_loop_covers(dom)
+    stable = set(powerset_allocations(market, "stable"))
+    assert graph.stable == tuple(Y in stable for Y in nodes)
     # the bitset rows also agree off the envy-free set
     ir = enumerate_allocations(market, "ir")
     assert dominance_matrix(market, ir) == brute_dominance(market, ir)
@@ -235,6 +241,29 @@ def test_hasse_stable_flags(no_lad, lattice_demo):
         flagged = {graph.nodes[i] for i, s in enumerate(graph.stable) if s}
         assert flagged == set(enumerate_allocations(market, "stable"))
         assert sum(graph.stable) == stable_count
+
+
+def test_lattice_request_searches_once(monkeypatch, capsys):
+    searched = []
+    blocked = []
+    search = classify_module._search
+
+    def recorded(*args):
+        searched.append(args[1])
+        return search(*args)
+
+    def counted(*args):
+        blocked.append(args)
+        return classify_module._blocking(*args)
+
+    for owner in (classify_module, lattice_module):
+        monkeypatch.setattr(owner, "_search", recorded)
+    monkeypatch.setattr(lattice_module, "_blocking", counted, raising=False)
+    assert cli_module.main(["lattice", str(LATTICE_PATH), "--format", "json"]) == 0
+    # the reference block was reconciled against the same graph
+    assert "47 claims, 37 mismatch(es)" in capsys.readouterr().err
+    assert searched == ["envy-free"]
+    assert blocked == []
 
 
 def test_heights_against_longest_path(no_lad, lattice_demo):

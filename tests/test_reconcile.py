@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import importlib
+from collections import Counter
+
 import pytest
 
-from envylattice import ParseError, canon, reconcile, reference_from_doc
+from envylattice import ParseError, canon, hasse, reconcile, reference_from_doc
 from envylattice.reconcile import reconciliation_to_json, render_reconciliation_text
 
 from conftest import LD_DOCTOR_OPT, LD_JOIN_VALUE
 
+reconcile_module = importlib.import_module("envylattice.reconcile")
+
 
 @pytest.fixture(scope="module")
 def report(lattice_demo, lattice_doc):
-    return reconcile(lattice_demo, reference_from_doc(lattice_doc, lattice_demo))
+    return reconcile(lattice_demo, reference_from_doc(lattice_doc, lattice_demo), hasse(lattice_demo))
 
 
 def test_reference_block_parses(lattice_demo, lattice_doc):
@@ -38,6 +43,17 @@ def test_reference_shape_errors(lattice_demo):
         reference_from_doc({"reference": {"cover_edges": [[[1], ["x"]]]}}, lattice_demo)
     with pytest.raises(ParseError, match="sides must be lists of contract ids"):
         reference_from_doc({"reference": {"cover_edges": [["x11", []]]}}, lattice_demo)
+
+
+def test_reference_counts_must_be_integers(lattice_demo):
+    # JSON true == 1, so a boolean count once reconciled as a match
+    for key in ("envy_free", "stable"):
+        for bad in (True, False, 4.0, "4", None, [4]):
+            doc = {"reference": {"counts": {key: bad}}}
+            with pytest.raises(ParseError, match=rf"^reference\.counts\.{key} must be an integer$"):
+                reference_from_doc(doc, lattice_demo)
+    ref = reference_from_doc({"reference": {"counts": {"envy_free": 0, "stable": -1}}}, lattice_demo)
+    assert ref.counts == {"envy_free": 0, "stable": -1}
 
 
 def test_reference_ids_must_name_market_contracts(lattice_demo):
@@ -129,3 +145,19 @@ def test_text_rendering(report):
     assert "envy-free count" in text
     # witness details are indented under their row
     assert "\n    {'kind': 'justified-envy'" in text
+
+
+def test_each_claim_is_classified_at_most_once(lattice_demo, lattice_doc, monkeypatch):
+    reference = reference_from_doc(lattice_doc, lattice_demo)
+    graph = hasse(lattice_demo)
+    classified = Counter()
+    original = reconcile_module.classify
+
+    def counted(market, Y):
+        classified[frozenset(Y)] += 1
+        return original(market, Y)
+
+    monkeypatch.setattr(reconcile_module, "classify", counted)
+    reconcile(lattice_demo, reference, graph)
+    assert set(classified) <= set(reference.envy_free)
+    assert max(classified.values()) == 1
