@@ -51,7 +51,7 @@ def doctor_choose(market: Market, doctor: str, S) -> frozenset:
     own = frozenset(S) & market.doctor_contracts[doctor]
     if not own:
         return frozenset()
-    key = ("D", doctor, own)
+    key = (doctor, own)
     cached = market._choice_cache.get(key)
     if cached is None:
         cached = market._choice_cache[key] = evaluate_doctor(market, doctor, own)
@@ -89,16 +89,8 @@ def hospital_choose(market: Market, hospital: str, S) -> frozenset:
     if spec is None:
         raise UnknownIdError(f"unknown hospital id: {hospital!r}")
     own = frozenset(S) & market.hospital_contracts[hospital]
-    if not own:
-        return frozenset()
-    key = ("H", hospital, own)
-    cached = market._choice_cache.get(key)
-    if cached is not None:
-        return cached
     ranked = [cid for cid in spec.ranking if cid in own]
-    chosen = frozenset(ranked[: spec.quota])
-    market._choice_cache[key] = chosen
-    return chosen
+    return frozenset(ranked[: spec.quota])
 
 
 def hospital_prefers(market: Market, hospital: str, a: str, b: str) -> bool:

@@ -45,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import lt
 
-from .choice import doctor_choose, hospital_choose, hospital_prefers
+from .choice import doctor_choose, hospital_prefers
 from .model import (
     Market,
     MarketError,
@@ -93,16 +93,15 @@ class ClassificationReport:
 
 
 def _ir(market: Market, Y: frozenset) -> bool:
-    # IR of the allocation Y: every agent's choice from its part keeps it.
+    # IR of the allocation Y: every doctor's choice from its part keeps
+    # it, and every held contract is acceptable to its hospital; Y is an
+    # allocation, so no hospital is above quota and C_h(Y_h) == Y_h.
     for d in market.doctors:
         own = Y & market.doctor_contracts[d.id]
         if doctor_choose(market, d.id, own) != own:
             return False
-    for h in market.hospitals:
-        own = Y & market.hospital_contracts[h.id]
-        if hospital_choose(market, h.id, own) != own:
-            return False
-    return True
+    rank = market.hospital_rank
+    return all(x in rank[market.contract_by_id[x].hospital] for x in Y)
 
 
 def _blocking(market: Market, Y: frozenset) -> frozenset:

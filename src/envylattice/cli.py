@@ -21,7 +21,7 @@ from .reconcile import (
     reference_from_doc,
     render_reconciliation_text,
 )
-from .classify import classify, enumerate_allocations
+from .classify import CLASSES, classify, enumerate_allocations
 from .dynamics import (
     RetirementEvent,
     tarski_fixed_point,
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("market")
     p.add_argument(
         "--class", dest="kind", required=True,
-        choices=["allocation", "ir", "envy-free", "stable"],
+        choices=CLASSES,
     )
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_enumerate)

@@ -14,10 +14,12 @@ lists when each doctor keeps only the parts both inputs dominate; no
 intensional meet formula is assumed.  These guarantees are theorems on
 the envy-free set; the computations are well defined on IR allocations.
 
-Each input is checked once: ``blair_dominates`` and ``join`` check that
-their inputs are IR allocations (``join`` also its result), ``meet``
-that its inputs are envy-free.  Below them the per-doctor test
-``_dominates`` and its bitset rows ``_dominance_rows`` run unchecked.
+Blair dominance has one definition, the join closed form: Y dominates
+Yp exactly when ``choice_join(market, Y, Yp) == Y``.  Each input is
+checked once: ``blair_dominates`` and ``join`` check that their inputs
+are IR allocations (``join`` also its result), ``meet`` that its inputs
+are envy-free.  Below them ``choice_join`` and its batch form, the
+bitset rows ``_dominance_rows``, run unchecked.
 ``hasse`` takes its nodes and their stable flags from one envy-free
 search and reduces the rows.  The stable extremes are read off the rows
 too: the Blair-greatest has a full row, the Blair-least its bit in every
@@ -63,17 +65,8 @@ def blair_dominates(market: Market, Y, Yp) -> bool:
 
     Both arguments must be individually rational allocations.
     """
-    return _dominates(market, _require_ir(market, Y), _require_ir(market, Yp))
-
-
-def _dominates(market: Market, Y: frozenset, Yp: frozenset) -> bool:
-    # Weak Blair dominance, unchecked: C_d(Y_d | Yp_d) == Y_d for every d.
-    union = Y | Yp
-    for d in market.doctors:
-        own = Y & market.doctor_contracts[d.id]
-        if doctor_choose(market, d.id, union) != own:
-            return False
-    return True
+    Y = _require_ir(market, Y)
+    return choice_join(market, Y, _require_ir(market, Yp)) == Y
 
 
 def join(market: Market, Y, Yp) -> frozenset:
@@ -107,7 +100,7 @@ def meet(market: Market, Y, Yp) -> frozenset:
     Yp = _require_envy_free(market, Yp)[0]
     lower = (Z for Z, _ in _search(market, "envy-free", (Y, Yp)))
     glb = _require_ir(market, reduce(lambda a, b: join(market, a, b), lower))
-    if not (_dominates(market, Y, glb) and _dominates(market, Yp, glb)):
+    if not (choice_join(market, Y, glb) == Y and choice_join(market, Yp, glb) == Yp):
         raise InvariantViolation(
             "join of the common lower bounds is not itself a lower bound; "
             "the market violates the choice axioms"

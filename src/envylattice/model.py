@@ -158,7 +158,7 @@ class Market:
 
     @cached_property
     def _choice_cache(self) -> dict:
-        # Shared memo for choice evaluation, keyed (kind, agent, frozenset).
+        # Memo of doctor_choose, keyed (doctor, frozenset of own contracts).
         return {}
 
     @cached_property

@@ -160,12 +160,13 @@ def reconcile(market: Market, reference: Reference, graph: LatticeGraph) -> Reco
         )
     )
 
+    # A stable claim is an envy-free claim too, listed or not.
     claimed_stable = set(reference.stable)
-    for Y in sorted(reference.envy_free, key=canon):
+    claimed_nodes = claimed_stable.union(reference.envy_free)
+    for Y in sorted(claimed_nodes, key=canon):
         label = "stable" if Y in claimed_stable else "envy-free"
         rows.append(_node_row(market, Y, label, computed.get(Y)))
 
-    claimed_nodes = set(reference.envy_free)
     for Y in graph.nodes:
         if Y in claimed_nodes:
             continue

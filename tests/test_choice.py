@@ -290,7 +290,7 @@ def test_choice_cache_is_per_market(no_lad):
     got1 = doctor_choose(no_lad, "d1", {"x11", "x12"})
     got2 = doctor_choose(no_lad, "d1", {"x11", "x12"})
     assert got1 == got2 == frozenset({"x11", "x12"})
-    assert ("D", "d1", frozenset({"x11", "x12"})) in no_lad._choice_cache
+    assert ("d1", frozenset({"x11", "x12"})) in no_lad._choice_cache
     assert set(before).issubset(no_lad._choice_cache)
 
 

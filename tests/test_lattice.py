@@ -227,6 +227,7 @@ def test_hasse_matches_triple_loop_oracle(market):
     assert nodes == powerset_allocations(market, "envy-free")
     dom = brute_dominance(market, nodes)
     assert dominance_matrix(market, nodes) == dom
+    assert [[blair_dominates(market, a, b) for b in nodes] for a in nodes] == dom
     assert list(graph.covers) == triple_loop_covers(dom)
     stable = set(powerset_allocations(market, "stable"))
     assert graph.stable == tuple(Y in stable for Y in nodes)

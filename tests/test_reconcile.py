@@ -161,3 +161,24 @@ def test_each_claim_is_classified_at_most_once(lattice_demo, lattice_doc, monkey
     reconcile(lattice_demo, reference, graph)
     assert set(classified) <= set(reference.envy_free)
     assert max(classified.values()) == 1
+
+
+def test_stable_claims_missing_from_envy_free_get_rows(lattice_demo):
+    graph = hasse(lattice_demo)
+    envious = ["y11", "y12", "y21", "y22"]  # d1 justifiably envies d2 at h1 and h2
+    doc = {"reference": {"envy_free": [], "stable": [envious, sorted(LD_DOCTOR_OPT)]}}
+    report = reconcile(lattice_demo, reference_from_doc(doc, lattice_demo), graph)
+    by_claim = {r.claim: r for r in report.rows}
+    row = by_claim["stable {y11,y12,y21,y22}"]
+    assert (row.computed, row.verdict) == ("allocation with justified envy", "mismatch")
+    assert {(w["desired"], w["held"]) for w in row.witnesses if w["kind"] == "justified-envy"} == {
+        ("x11", "y21"),
+        ("x12", "y22"),
+    }
+    assert by_claim["stable {" + ",".join(canon(LD_DOCTOR_OPT)) + "}"].verdict == "match"
+    # the claimed stable node is listed, so it is not reported as unlisted
+    unlisted = [r for r in report.rows if r.claim.startswith("unlisted envy-free")]
+    assert len(unlisted) == len(graph.nodes) - 1
+    count = by_claim["envy-free count"]
+    assert (count.expected, count.computed) == (0, 22)
+    assert by_claim["stable count"].expected == 2
