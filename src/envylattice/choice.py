@@ -160,9 +160,14 @@ class _Memo(dict):
         return value
 
 
+def sampled_sweeps(n: int, limits: ValidationLimits = DEFAULT_LIMITS) -> tuple[bool, bool]:
+    """Whether the removal sweeps and the pair sweep are sampled on n contracts."""
+    return n > limits.subset_cap, n > limits.pair_cap
+
+
 def _subset_masks(doctor: str, n: int, limits: ValidationLimits):
     """All subset masks when exhaustive, a seeded sample otherwise."""
-    if n <= limits.subset_cap:
+    if not sampled_sweeps(n, limits)[0]:
         return range(1 << n), False
     rng = random.Random(f"axiom-check:{doctor}:{n}")
     masks = {0, (1 << n) - 1}
@@ -233,7 +238,7 @@ def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict:
     # Path independence.  A row with C(a) == a cannot fail, and when
     # C(a) <= a, (a, b) compares the same two choices as (a, b - C(a)),
     # which comes no later.
-    pairs_sampled = n > limits.pair_cap
+    pairs_sampled = sampled_sweeps(n, limits)[1]
     if not pairs_sampled:
         full = range(1 << n)
         table = [C[m] for m in full]  # list indexing beats dict lookup here

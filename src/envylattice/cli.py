@@ -11,6 +11,7 @@ byte-deterministic: the same invocation always prints the same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -193,6 +194,9 @@ def cmd_verify_lad(args) -> int:
     return 0
 
 
+# Built on first use and kept for the process: building costs more than
+# most requests, and parsing leaves the parser unchanged.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="envylattice",
@@ -266,8 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except serialize.FatalValidationError as exc:

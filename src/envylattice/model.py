@@ -65,7 +65,10 @@ class ResponsiveDoctor:
     its hospital is not already used and the quota is not exhausted.
     Contracts absent from ``ranking`` are unacceptable.  This rule
     satisfies every choice axiom checked by the validators, including the
-    law of aggregate demand.
+    law of aggregate demand: it is greedy selection over a matroid (Fleiner
+    2003; Hatfield & Milgrom 2005).  Validation relies on this and does not
+    sweep responsive doctors; ``test_quota_rule_satisfies_all_axioms`` is
+    the proof obligation, running the full checkers on this rule.
     """
 
     quota: int

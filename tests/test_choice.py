@@ -21,6 +21,7 @@ from envylattice import (
     ResponsiveDoctor,
     TableDoctor,
     UnknownIdError,
+    ValidationEntry,
     ValidationLimits,
     check_lad,
     check_substitutable,
@@ -201,15 +202,15 @@ def test_sampled_flag():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_quota_rule_satisfies_all_axioms(data):
-    n = data.draw(st.integers(min_value=1, max_value=6), label="contracts")
+    n = data.draw(st.integers(min_value=1, max_value=8), label="contracts")
     hospitals = data.draw(
-        st.lists(st.sampled_from(["h1", "h2", "h3"]), min_size=n, max_size=n),
+        st.lists(st.sampled_from(["h1", "h2", "h3", "h4"]), min_size=n, max_size=n),
         label="hospital per contract",
     )
     contracts = [(f"c{i}", hospitals[i]) for i in range(n)]
     ranked = data.draw(st.permutations([c for c, _ in contracts]), label="ranking")
     cut = data.draw(st.integers(min_value=0, max_value=n), label="acceptable prefix")
-    quota = data.draw(st.integers(min_value=1, max_value=3), label="quota")
+    quota = data.draw(st.integers(min_value=1, max_value=4), label="quota")
     m = one_doctor_market(
         contracts, ResponsiveDoctor(quota=quota, ranking=tuple(ranked[:cut]))
     )
@@ -266,11 +267,13 @@ def test_checkers_match_first_witness_oracle(m, limits):
         assert out.witness is None or out.witness.prop == prop
 
 
-def test_validation_evaluates_each_subset_once(monkeypatch):
-    contracts = [(f"c{i}", f"h{i % 4}") for i in range(10)]
-    m = one_doctor_market(
-        contracts, ResponsiveDoctor(quota=2, ranking=tuple(c for c, _ in contracts))
-    )
+CONTRACTS_10 = [(f"c{i}", f"h{i % 4}") for i in range(10)]
+QUOTA_RULE_10 = ResponsiveDoctor(quota=2, ranking=tuple(c for c, _ in CONTRACTS_10))
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch) -> Counter:
+    """Counts ``choice.evaluate_doctor`` calls by subset from here on."""
     calls = Counter()
     evaluate = choice.evaluate_doctor
 
@@ -279,10 +282,47 @@ def test_validation_evaluates_each_subset_once(monkeypatch):
         return evaluate(market, doctor, own)
 
     monkeypatch.setattr(choice, "evaluate_doctor", counting)
+    return calls
+
+
+def test_validation_evaluates_each_subset_once(evaluate_calls):
+    rule = one_doctor_market(CONTRACTS_10, QUOTA_RULE_10)
+    table = {S: doctor_choose(rule, "d", S) for S in subsets_of(c for c, _ in CONTRACTS_10) if S}
+    m = one_doctor_market(CONTRACTS_10, TableDoctor(table=table))
+    evaluate_calls.clear()  # tabulating evaluated the rule once per subset
     assert validate_market(m).ok
-    assert len(calls) == 2**10 - 1  # exhaustive: every nonempty subset
-    assert max(calls.values()) == 1
+    assert len(evaluate_calls) == 2**10 - 1  # exhaustive: every nonempty subset
+    assert max(evaluate_calls.values()) == 1
     assert not m._choice_cache  # validation leaves the choice memo alone
+
+
+def test_validation_does_not_sweep_responsive_doctors(evaluate_calls):
+    m = one_doctor_market(CONTRACTS_10, QUOTA_RULE_10)
+    assert validate_market(m).ok
+    assert not evaluate_calls  # the quota rule passes by theorem, unevaluated
+    assert not m._choice_cache and not m._axiom_cache
+
+
+@pytest.mark.parametrize("n", [*range(1, 11), 11, 17])
+def test_responsive_validation_matches_the_sweep(n):
+    rng = random.Random(f"responsive:{n}")
+    contracts = [(f"c{i}", f"h{rng.randrange(4)}") for i in range(n)]
+    ranked = [c for c, _ in contracts]
+    rng.shuffle(ranked)
+    rule = ResponsiveDoctor(quota=rng.randint(1, 4), ranking=tuple(ranked[: rng.randint(1, n)]))
+    m = one_doctor_market(contracts, rule)
+    swept = []
+    for prop in PROPERTIES:
+        out = CHECKERS[prop](m, "d")
+        swept.append(
+            ValidationEntry(
+                agent="d", agent_kind="doctor", prop=prop, passed=out.passed,
+                severity="informative" if prop == "lad" else "fatal",
+                sampled=out.sampled, witness=out.witness,
+            )
+        )
+    doctors = [e for e in validate_market(m).entries if e.agent_kind == "doctor"]
+    assert doctors == swept
 
 
 def test_choice_cache_is_per_market(no_lad):

@@ -2,7 +2,8 @@
 
 Every command is exercised through a real subprocess so exit codes,
 stream separation, and byte determinism are observed exactly as a shell
-user would see them.
+user would see them.  One test calls ``cli.main`` in-process several
+times, as a long-lived caller would.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from envylattice import GenParams, generate_responsive_market, serialize
+from envylattice import GenParams, cli, generate_responsive_market, serialize
 
-from conftest import LATTICE_PATH, NO_LAD_PATH
+from conftest import LATTICE_PATH, NO_LAD_PATH, RESPONSIVE_PATH
 
 
 def run_cli(*args, env_extra=None):
@@ -429,6 +430,7 @@ DOUBLE_RUNS = [
     pytest.param(
         ("verify-lad", str(LATTICE_PATH), "--from", "x11,x12,y21,y22"), id="verify-lad-lattice-demo"
     ),
+    pytest.param(("validate", str(RESPONSIVE_PATH)), id="validate-responsive"),
 ]
 
 
@@ -443,3 +445,20 @@ def test_repeat_runs_are_byte_identical(argv, request):
     assert first.stdout == golden.with_suffix(".stdout").read_bytes()
     assert first.stderr == golden.with_suffix(".stderr").read_bytes()
     assert first.returncode == int(golden.with_suffix(".exit").read_text())
+
+
+def test_in_process_calls_print_their_golden_bytes(capsys):
+    # one process reuses one parser, so no state may leak between calls
+    runs = [
+        (("validate", str(NO_LAD_PATH)), "validate"),
+        (("check", str(NO_LAD_PATH), "--allocation", "x11,x23"), "check"),
+        (("validate", str(RESPONSIVE_PATH)), "validate-responsive"),
+        (("validate", str(NO_LAD_PATH)), "validate"),
+    ]
+    for argv, golden_id in runs:
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        golden = GOLDEN_DIR / golden_id
+        assert out.encode() == golden.with_suffix(".stdout").read_bytes(), argv
+        assert err.encode() == golden.with_suffix(".stderr").read_bytes(), argv
+        assert code == int(golden.with_suffix(".exit").read_text()), argv
