@@ -206,24 +206,19 @@ def classify(market: Market, Y) -> ClassificationReport:
     )
 
 
-def resolve_enum_cap() -> int:
-    """The enumeration cap: ENVYLATTICE_ENUM_CAP, else 22.
+def _check_cap(market: Market) -> None:
+    """Refuse a market above the enumeration cap: ENVYLATTICE_ENUM_CAP, else 22.
 
-    This is the one reader of the environment variable.  A set variable
-    must hold an integer (``int`` syntax, so surrounding blanks are
-    fine); anything else, the empty string included, is a refusal.
+    The first statement of both searches, ``all_allocations`` and
+    ``_search``, and the one reader of the environment variable.  A set
+    variable must hold an integer (``int`` syntax, so surrounding blanks
+    are fine); anything else, the empty string included, is a refusal.
     """
     env = os.environ.get(ENUM_CAP_ENV)
-    if env is None:
-        return DEFAULT_ENUM_CAP
     try:
-        return int(env)
+        cap = DEFAULT_ENUM_CAP if env is None else int(env)
     except ValueError:
         raise MarketError(f"{ENUM_CAP_ENV} must be an integer, got {env!r}") from None
-
-
-def _check_cap(market: Market) -> None:
-    cap = resolve_enum_cap()
     if len(market.contracts) > cap:
         raise EnumerationCapError(
             f"market has {len(market.contracts)} contracts, enumeration cap is {cap}"
@@ -347,6 +342,7 @@ def _search(market: Market, kind: str, below=()) -> list[tuple[frozenset, bool]]
     flag is computed only when envy is pruned, so every ``ir`` leaf is
     flagged False; ``stable`` keeps only the flagged leaves.
     """
+    _check_cap(market)
     hospitals = market.hospitals
     n = len(hospitals)
     index = {h.id: i for i, h in enumerate(hospitals)}
@@ -398,11 +394,11 @@ def enumerate_allocations(market: Market, kind: str = "allocation") -> list[froz
     pruned against quota, and for ``envy-free`` and ``stable`` a branch
     is cut as soon as two fixed doctors form a justified-envy witness.
     The work then follows the size of the class returned, not the number
-    of allocations.  The contract-count cap is checked before any work.
+    of allocations.  Each search checks the contract-count cap before
+    any work.
     """
     if kind not in CLASSES:
         raise MarketError(f"unknown class {kind!r}, expected one of {CLASSES}")
     if kind == "allocation":
         return all_allocations(market)
-    _check_cap(market)
     return [Y for Y, _ in _search(market, kind)]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .choice import check_lad, doctor_choose, hospital_prefers
+from .choice import doctor_choose, hospital_prefers
 from .classify import (
     _blocking,
     _envy_free,
@@ -41,7 +41,6 @@ from .classify import (
     _require_envy_free,
     _witnesses,
     enumerate_allocations,
-    resolve_enum_cap,
 )
 from .lattice import _extremum, _stable_extremes, choice_join
 from .model import (
@@ -52,6 +51,7 @@ from .model import (
     canon,
     require_allocation,
 )
+from .validate import validate_market
 
 
 @dataclass(frozen=True)
@@ -238,8 +238,12 @@ class TheoremReport:
 def verify_lad_predictions(market: Market, Y) -> TheoremReport:
     """Check the consequences of the law of aggregate demand at Y.
 
-    The stable set is enumerated once and gives the hospital-optimal
-    allocation; the walk from Y runs under its default iteration cap.
+    After the envy-free check of Y the stable set is enumerated, so a
+    market above the cap is refused before any other work; it gives the
+    hospital-optimal allocation.  The doctors failing the law of
+    aggregate demand are the failed ``lad`` entries of
+    ``validate_market``, so none on a market that fails its structural
+    pass.  The walk from Y runs under its default iteration cap.
 
     * fixed_point_equals_join: iterating from the envy-free Y lands on
       join(Y, hospital-optimal stable allocation);
@@ -250,14 +254,11 @@ def verify_lad_predictions(market: Market, Y) -> TheoremReport:
     * stable_counts_constant: every agent signs the same number of
       contracts in every stable allocation.
     """
-    resolve_enum_cap()  # a bad ENVYLATTICE_ENUM_CAP is refused first
     Y, blocking = _require_envy_free(market, Y)
-    lad_failures = tuple(
-        d.id
-        for d in sorted(market.doctors, key=lambda s: s.id)
-        if not check_lad(market, d.id).passed
-    )
     stable = enumerate_allocations(market, "stable")
+    lad_failures = tuple(
+        e.agent for e in validate_market(market).entries if e.prop == "lad" and not e.passed
+    )
     y_hosp = _extremum(_stable_extremes(market, stable)[1])
     trace = _walk(market, Y, blocking)
     joined = choice_join(market, Y, y_hosp)

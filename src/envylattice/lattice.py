@@ -33,7 +33,7 @@ from functools import reduce
 from operator import and_
 
 from .choice import doctor_choose
-from .classify import _check_cap, _ir, _require_envy_free, _search, enumerate_allocations
+from .classify import _ir, _require_envy_free, _search, enumerate_allocations
 from .model import (
     InvariantViolation,
     Market,
@@ -91,11 +91,11 @@ def join(market: Market, Y, Yp) -> frozenset:
 def meet(market: Market, Y, Yp) -> frozenset:
     """Greatest lower bound of two envy-free allocations in the Blair order.
 
-    After the cap and the envy-free check of both inputs, one search
-    lists the common lower bounds; their join is verified to be an IR
-    allocation and a common lower bound itself.
+    After the envy-free check of both inputs, one search lists the
+    common lower bounds, refusing a market above the cap before any
+    work; their join is verified to be an IR allocation and a common
+    lower bound itself.
     """
-    _check_cap(market)
     Y = _require_envy_free(market, Y)[0]
     Yp = _require_envy_free(market, Yp)[0]
     lower = (Z for Z, _ in _search(market, "envy-free", (Y, Yp)))
@@ -194,7 +194,6 @@ def hasse(market: Market) -> LatticeGraph:
     covers of i are below(i) minus the union of below(k) over k in
     below(i): O(n^2) big-int operations on the dominance rows.
     """
-    _check_cap(market)
     nodes, stable = zip(*_search(market, "envy-free"))
     below = [row & ~(1 << i) for i, row in enumerate(_dominance_rows(market, nodes))]
     covers = []

@@ -217,6 +217,36 @@ def test_deep_search_is_a_refusal(tmp_path):
         assert proc.stderr == b""
 
 
+def test_meet_checks_its_inputs_before_the_cap():
+    # responsive_demo has 31 contracts, above the default cap of 22
+    proc = run_cli("meet", str(RESPONSIVE_PATH), "--left", "", "--right", "")
+    assert proc.returncode == 1
+    payload, _ = split_json_and_line(proc.stdout)
+    assert payload["error"]["message"] == "market has 31 contracts, enumeration cap is 22"
+    proc = run_cli("meet", str(RESPONSIVE_PATH), "--left", "x11", "--right", "")
+    assert proc.returncode == 1
+    payload, _ = split_json_and_line(proc.stdout)
+    assert payload["error"]["message"] == "allocation ('x11',) is not envy-free"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--class", "stable"),
+        ("lattice", "--format", "json"),
+        ("meet", "--left", "x11,x23", "--right", "x13,x21,x22"),
+        ("verify-lad", "--from", "x11,x23"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_bad_enum_cap_env_refuses_every_search(argv):
+    command, *rest = argv
+    proc = run_cli(command, str(NO_LAD_PATH), *rest, env_extra={"ENVYLATTICE_ENUM_CAP": "many"})
+    assert proc.returncode == 1
+    payload, _ = split_json_and_line(proc.stdout)
+    assert payload["error"]["message"] == "ENVYLATTICE_ENUM_CAP must be an integer, got 'many'"
+
+
 def test_enum_cap_env_must_be_integer():
     proc = run_cli(
         "enumerate", str(NO_LAD_PATH), "--class", "stable",
@@ -431,6 +461,7 @@ DOUBLE_RUNS = [
         ("verify-lad", str(LATTICE_PATH), "--from", "x11,x12,y21,y22"), id="verify-lad-lattice-demo"
     ),
     pytest.param(("validate", str(RESPONSIVE_PATH)), id="validate-responsive"),
+    pytest.param(("verify-lad", str(RESPONSIVE_PATH), "--from", ""), id="verify-lad-responsive"),
 ]
 
 

@@ -12,6 +12,7 @@ import oracles
 from envylattice import (
     Contract,
     DoctorSpec,
+    EnumerationCapError,
     GenParams,
     HospitalSpec,
     InvariantViolation,
@@ -22,6 +23,7 @@ from envylattice import (
     blair_dominates,
     blocking_contracts,
     canon,
+    check_lad,
     classify,
     enumerate_allocations,
     generate_responsive_market,
@@ -29,6 +31,7 @@ from envylattice import (
     is_individually_rational,
     is_stable,
     justified_envy_witnesses,
+    parse_market,
     reduce_market,
     star_blocking,
     tarski_fixed_point,
@@ -44,6 +47,7 @@ from conftest import (
     EF_MIDDLE,
     HOSPITAL_OPT,
     LD_DOCTOR_OPT,
+    RESPONSIVE_PATH,
     small_markets,
 )
 
@@ -392,3 +396,42 @@ def test_verify_lad_enumerates_the_stable_set_once(no_lad, lattice_demo, monkeyp
         searched.clear()
         verify_lad_predictions(market, Y)
         assert searched == ["stable"], canon(Y)
+
+
+def test_verify_lad_reads_responsive_verdicts_without_a_sweep():
+    market = generate_responsive_market(GenParams(3, 2, 20, seed=7))
+    report = verify_lad_predictions(market, frozenset())
+    assert report.lad_failures == ()
+    assert market._axiom_cache == {}
+
+
+def test_verify_lad_refuses_at_the_cap_before_any_sweep():
+    # responsive_demo has 31 contracts, above the default cap of 22
+    market = parse_market(RESPONSIVE_PATH.read_text())
+    with pytest.raises(EnumerationCapError) as refused:
+        verify_lad_predictions(market, frozenset())
+    assert market._axiom_cache == {}
+    with pytest.raises(EnumerationCapError) as enumerated:
+        enumerate_allocations(market, "stable")
+    assert str(refused.value) == str(enumerated.value)
+
+
+def test_lad_failures_match_the_sweep():
+    # The sweep is the oracle, run on a fresh copy so that it shares no
+    # cached verdict with the market that verify_lad_predictions read.
+    compared = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(small_markets())
+    def check(market):
+        try:
+            report = verify_lad_predictions(market, frozenset())
+        except (MarketError, InvariantViolation):
+            return
+        fresh = Market(doctors=market.doctors, hospitals=market.hospitals, contracts=market.contracts)
+        expected = tuple(d for d in sorted(fresh.doctor_by_id) if not check_lad(fresh, d).passed)
+        assert report.lad_failures == expected
+        compared.append(expected)
+
+    check()
+    assert any(compared), "no draw had a doctor failing LAD"
