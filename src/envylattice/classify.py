@@ -5,9 +5,9 @@ Definitions, for an allocation Y:
 
 * individually rational (IR): C_a(Y) == Y_a for every agent a;
 * x outside Y blocks Y when both sides would sign it on top of Y:
-  x in C_d(Y | {x}) for the doctor d naming x, and the hospital side
-  holds per the quota shortcut: a vacancy plus acceptability, or a held
-  contract the hospital ranks below x;
+  x in C_d(Y | {x}) for the doctor d naming x, and x is in its
+  hospital's ranking, above the worst contract the hospital holds when
+  it is full;
 * doctor dp has justified envy at Y when some held contract x in Y and
   some dp-contract xp outside Y name the same hospital h, h ranks xp
   strictly above x, and xp in C_dp(Y | {xp}).  dp == d is allowed: a
@@ -17,31 +17,35 @@ Definitions, for an allocation Y:
   itself a blocking contract.
 
 The point predicates share one pass.  ``_blocking`` computes the
-blocking set of a known allocation, and justified envy is read off it:
-the witnesses are the pairs of a blocking contract and a held contract
-at its hospital that it beats, so Y has justified envy exactly when
-some blocking contract ranks above the worst contract held at its
-hospital.  No choice axiom is needed for this: the desired contract of
-a witness is acceptable and beats a held one, so its hospital would
-take it, and it blocks.  Each public predicate checks its input once
-with ``require_allocation`` and ``classify`` runs
-``allocation_violations`` once; everything below them is unchecked.
+blocking set of a known allocation by reading each hospital's ranking
+prefix: all of it below quota, and above the worst contract held when
+full.  Justified envy is read off the blocking set: the witnesses are
+the pairs of a blocking contract and a held contract at its hospital
+that it beats, so Y has justified envy exactly when some blocking
+contract ranks above the worst contract held at its hospital.  No
+choice axiom is needed for this: the desired contract of a witness is
+acceptable and beats a held one, so its hospital would take it, and it
+blocks.  Each public predicate checks its input once with
+``require_allocation`` and ``classify`` runs ``allocation_violations``
+once; everything below them is unchecked.
 
 Every condition above is local: IR is a condition on each doctor's part
 Y_d and each hospital's load, and a justified-envy witness involves one
 hospital and two doctors' parts.  ``enumerate_allocations`` exploits
 this with one depth-first search over the doctors that fixes one IR part
 per doctor and settles each witness as soon as both of its doctors are
-fixed; ``all_allocations`` lists every allocation for the plain
-``allocation`` class.  Each asserts the restriction accounting identity
-once, on the contracts its leaves are drawn from, and so on every leaf.
+fixed.  The allocation axioms are rules about one hospital, so
+``all_allocations`` lists every allocation, for the plain
+``allocation`` class, by a depth-first search over the hospitals that
+takes one option per hospital: a subset of its contracts with at most
+one per doctor and at most quota many.  Each search asserts the
+restriction accounting identity once, on the contracts its leaves are
+drawn from, and so on every leaf.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 from operator import lt
 
@@ -107,29 +111,22 @@ def _ir(market: Market, Y: frozenset) -> bool:
 def _blocking(market: Market, Y: frozenset) -> frozenset:
     """The contracts outside the allocation Y that block it, unchecked.
 
-    The hospital side is tested first, by the quota shortcut: x must be
-    acceptable, and the hospital below quota or x ranked above the
-    worst contract it holds (an unacceptable one is worst of all).
-    Then the doctor side: x in C_d(Y_d | {x}).
+    Each hospital's ranking is read best first, so only acceptable
+    contracts are read; a full hospital's is cut at the worst rank it
+    holds (an unacceptable held contract is worst of all and cuts
+    nothing).  The doctor is asked about each contract read outside Y:
+    x in C_d(Y_d | {x}).
     """
-    rank = market.hospital_rank
-    load: Counter = Counter()
-    worst: dict[str, float] = {}
-    parts: dict[str, set] = {}
-    for x in Y:
-        c = market.contract_by_id[x]
-        load[c.hospital] += 1
-        worst[c.hospital] = max(worst.get(c.hospital, -1), rank[c.hospital].get(x, math.inf))
-        parts.setdefault(c.doctor, set()).add(x)
     out = []
-    for c in market.contracts:
-        r = rank[c.hospital].get(c.id)
-        if r is None or c.id in Y:
-            continue
-        if load[c.hospital] >= market.hospital_by_id[c.hospital].quota and r >= worst.get(c.hospital, -1):
-            continue
-        if c.id in doctor_choose(market, c.doctor, parts.get(c.doctor, set()) | {c.id}):
-            out.append(c.id)
+    for h in market.hospitals:
+        ranking = h.ranking
+        held = Y & market.hospital_contracts[h.id]
+        if len(held) >= h.quota:
+            rank = market.hospital_rank[h.id]
+            ranking = ranking[:max((rank.get(x, len(ranking)) for x in held), default=0)]
+        for x in ranking:
+            if x not in Y and x in doctor_choose(market, market.contract_by_id[x].doctor, Y | {x}):
+                out.append(x)
     return frozenset(out)
 
 
@@ -232,47 +229,49 @@ def _balanced(market: Market, Y: frozenset) -> None:
         raise AssertionError("restriction accounting identity failed")
 
 
+def _one_per_group(ids, group, limit: int) -> list[frozenset]:
+    """Every subset of ``ids`` with at most one id per ``group(id)`` and at
+    most ``limit`` ids, built group by group in ``canon`` order."""
+    groups: dict[str, list[str]] = {}
+    for x in canon(ids):
+        groups.setdefault(group(x), []).append(x)
+    out = [frozenset()]
+    for members in groups.values():
+        out += [S | {x} for S in out if len(S) < limit for x in members]
+    return out
+
+
 def all_allocations(market: Market) -> list[frozenset]:
     """Every allocation, canonically sorted.
 
-    Walks doctor-hospital pairs depth-first, assigning each pair either
-    nothing or one of its contracts, and prunes on hospital quotas, so
-    the work is proportional to the number of allocations rather than to
-    2^|X|.  Refuses markets above the cap (default 22 contracts,
-    overridable via the ENVYLATTICE_ENUM_CAP environment variable).
+    Walks the hospitals depth-first, each taking one of its options: a
+    subset of its contracts with at most one per doctor and at most
+    quota many.  The work is proportional to the number of allocations
+    rather than to 2^|X|.  Refuses markets above the cap (default 22
+    contracts, overridable via the ENVYLATTICE_ENUM_CAP environment
+    variable).
     """
     _check_cap(market)
     _balanced(market, frozenset(c.id for c in market.contracts))
-    pairs: dict[tuple[str, str], list[str]] = {}
-    for c in market.contracts:
-        pairs.setdefault((c.doctor, c.hospital), []).append(c.id)
-    pair_list = [
-        (hospital, sorted(ids)) for (_, hospital), ids in sorted(pairs.items())
+    doctor_of = {c.id: c.doctor for c in market.contracts}
+    options = [
+        _one_per_group(market.hospital_contracts[h.id], doctor_of.get, h.quota)
+        for h in market.hospitals
     ]
-    quota = {h.id: h.quota for h in market.hospitals}
-    load = {h.id: 0 for h in market.hospitals}
-    chosen: list[str] = []
     out: list[frozenset] = []
 
-    def walk(i: int):
-        if i == len(pair_list):
-            out.append(frozenset(chosen))
+    def walk(i: int, Y: frozenset):
+        if i == len(options):
+            out.append(Y)
             return
-        walk(i + 1)
-        hospital, ids = pair_list[i]
-        if load[hospital] < quota[hospital]:
-            load[hospital] += 1
-            for cid in ids:
-                chosen.append(cid)
-                walk(i + 1)
-                chosen.pop()
-            load[hospital] -= 1
+        for S in options[i]:
+            walk(i + 1, Y | S)
 
     try:
-        walk(0)
+        walk(0, frozenset())
     except RecursionError:
         raise EnumerationCapError(
-            f"enumeration search is {len(pair_list)} levels deep, past the recursion limit"
+            f"enumeration search is {len(options)} levels deep, past the recursion limit"
         ) from None
     out.sort(key=canon)
     return out
@@ -300,15 +299,9 @@ def _ir_parts(market: Market, doctor: str, index: dict[str, int], below) -> list
     rank = market.hospital_rank
     own = market.doctor_contracts[doctor]
     hospital_of = {x: market.contract_by_id[x].hospital for x in own}
-    by_hospital: dict[str, list[str]] = {}
-    for x in canon(hospital_of):
-        if x in rank[hospital_of[x]]:
-            by_hospital.setdefault(hospital_of[x], []).append(x)
-    candidates = [frozenset()]
-    for ids in by_hospital.values():
-        candidates += [S | {x} for S in candidates for x in ids]
+    acceptable = [x for x in own if x in rank[hospital_of[x]]]
     parts = []
-    for S in candidates:
+    for S in _one_per_group(acceptable, hospital_of.get, len(own)):
         if doctor_choose(market, doctor, S) != S or any(
             doctor_choose(market, doctor, B | S) != B & own for B in below
         ):

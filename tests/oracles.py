@@ -9,6 +9,7 @@ choice evaluators themselves.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from envylattice import (
@@ -58,6 +59,27 @@ def powerset_allocations(market: Market, kind: str) -> list[frozenset]:
             if is_stable(market, Y):
                 out.append(Y)
     return sorted(out, key=canon)
+
+
+def allocation_count(market: Market) -> int:
+    """The number of allocations, in closed form.
+
+    A hospital signs at most one contract per doctor and at most quota
+    contracts, independently of the other hospitals.  With n_1, n_2, ...
+    contracts to each of its doctors it has the sum over k <= quota of
+    the k-th elementary symmetric sums of the n_i as options, and the
+    count is the product of these sums over the hospitals.
+    """
+    total = 1
+    for h in market.hospitals:
+        doctors = [c.doctor for c in market.contracts if c.hospital == h.id]
+        counts = [doctors.count(d) for d in set(doctors)]
+        total *= sum(
+            math.prod(combo)
+            for k in range(h.quota + 1)
+            for combo in itertools.combinations(counts, k)
+        )
+    return total
 
 
 def brute_dominance(market: Market, nodes) -> list[list[bool]]:

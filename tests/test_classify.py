@@ -36,7 +36,13 @@ from conftest import (
     LD_STABLE,
     small_markets,
 )
-from oracles import brute_blocking, brute_envy, brute_ir, powerset_allocations
+from oracles import (
+    allocation_count,
+    brute_blocking,
+    brute_envy,
+    brute_ir,
+    powerset_allocations,
+)
 
 # the module, which the package's ``classify`` function shadows
 classify_module = importlib.import_module("envylattice.classify")
@@ -50,6 +56,19 @@ def test_frozen_counts(no_lad, lattice_demo):
     for market, expected in ((no_lad, NO_LAD_COUNTS), (lattice_demo, LATTICE_COUNTS)):
         for kind, count in expected.items():
             assert len(enumerate_allocations(market, kind)) == count, kind
+
+
+def test_allocation_count_matches_the_closed_form(no_lad, lattice_demo):
+    # X = 12..20 lies far past the X <= 8 reach of powerset_allocations
+    generated = [
+        generate_responsive_market(
+            GenParams(7, 5, X, seed=seed, doctor_quota=(1, 3), hospital_quota=(1, 3))
+        )
+        for seed in (0, 1)
+        for X in range(12, 21, 2)
+    ]
+    for market in (no_lad, lattice_demo, *generated):
+        assert len(enumerate_allocations(market, "allocation")) == allocation_count(market)
 
 
 def test_stable_sets_exact(no_lad, lattice_demo):
