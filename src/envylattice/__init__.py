@@ -6,8 +6,8 @@ dynamics (vacancy chains)."""
 from .choice import (
     CHECKERS,
     PROPERTIES,
-    CheckOutcome,
     PropertyWitness,
+    ValidationEntry,
     ValidationLimits,
     check_consistency,
     check_distinct_hospitals,
@@ -82,6 +82,6 @@ from .serialize import (
     market_to_text,
     parse_market,
 )
-from .validate import ValidationEntry, ValidationReport, validate_market
+from .validate import ValidationReport, validate_market
 
 __all__ = [name for name in dir() if not name.startswith("_")]

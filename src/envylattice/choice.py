@@ -16,7 +16,8 @@ The quantified checks run over single-element removals instead of all
 subset pairs: the full universally-quantified properties follow from the
 single-removal instances by induction on the removed set.  Witnesses are
 reported as full (Y, Yp) pairs either way so that replaying them through
-the evaluator reproduces the violation.
+the evaluator reproduces the violation.  Each checker returns the
+``ValidationEntry`` that the validation report prints.
 """
 
 from __future__ import annotations
@@ -121,13 +122,20 @@ class PropertyWitness:
 
 
 @dataclass(frozen=True)
-class CheckOutcome:
-    """Result of one axiom check on one agent."""
+class ValidationEntry:
+    """One verdict of the validation report, as the checkers return it."""
 
+    agent: str
+    agent_kind: str  # "doctor" | "hospital" | "market"
     prop: str
     passed: bool
-    witness: PropertyWitness | None
-    sampled: bool
+    severity: str  # "fatal" | "informative"
+    # For a responsive doctor, which is not swept, this records the size
+    # rule a sweep would follow (more than ``subset_cap`` contracts, or
+    # ``pair_cap`` for path independence), not a sampled check.
+    sampled: bool = False
+    witness: PropertyWitness | None = None
+    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -168,18 +176,35 @@ def sampled_sweeps(n: int, limits: ValidationLimits = DEFAULT_LIMITS) -> tuple[b
 def _subset_masks(doctor: str, n: int, limits: ValidationLimits):
     """All subset masks when exhaustive, a seeded sample otherwise."""
     if not sampled_sweeps(n, limits)[0]:
-        return range(1 << n), False
+        return range(1 << n)
     rng = random.Random(f"axiom-check:{doctor}:{n}")
     masks = {0, (1 << n) - 1}
     # a tight samples limit can exceed the whole mask space
     target = min(limits.samples, 1 << n)
     while len(masks) < target:
         masks.add(rng.getrandbits(n))
-    return sorted(masks), True
+    return sorted(masks)
 
 
-def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict:
-    """Every axiom on one doctor from one table of choices.
+def _doctor_entries(doctor: str, n: int, witnesses: dict, limits=DEFAULT_LIMITS) -> dict:
+    """A doctor's entry per axiom, failed where ``witnesses`` has one.
+
+    LAD alone is informative.  ``sampled`` follows the sweeps' size rule.
+    """
+    removal, pairs = sampled_sweeps(n, limits)
+    return {
+        prop: ValidationEntry(
+            agent=doctor, agent_kind="doctor", prop=prop, passed=prop not in witnesses,
+            severity="informative" if prop == "lad" else "fatal",
+            sampled=pairs if prop == "path-independence" else removal,
+            witness=witnesses.get(prop),
+        )
+        for prop in PROPERTIES
+    }
+
+
+def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict[str, ValidationEntry]:
+    """Every axiom's entry for one doctor, from one table of choices.
 
     Subsets of X_d are bitmasks over the sorted contract order, and each
     is evaluated at most once.  One sweep over the masks checks distinct
@@ -214,8 +239,7 @@ def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict:
         lambda c: len({h for i, h in enumerate(hospital_of) if c >> i & 1}) == c.bit_count()
     )
     found: dict[str, tuple[int, ...]] = {}
-    masks, sampled = _subset_masks(doctor, n, limits)
-    for m in masks:
+    for m in _subset_masks(doctor, n, limits):
         c = C[m]
         if (c & ~m or not distinct_ok[c]) and "distinct-hospitals" not in found:
             found["distinct-hospitals"] = (m,)
@@ -238,8 +262,7 @@ def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict:
     # Path independence.  A row with C(a) == a cannot fail, and when
     # C(a) <= a, (a, b) compares the same two choices as (a, b - C(a)),
     # which comes no later.
-    pairs_sampled = sampled_sweeps(n, limits)[1]
-    if not pairs_sampled:
+    if not sampled_sweeps(n, limits)[1]:
         full = range(1 << n)
         table = [C[m] for m in full]  # list indexing beats dict lookup here
         free = _Memo(lambda ca: [b for b in full if not b & ca])
@@ -261,19 +284,15 @@ def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict:
                 found["path-independence"] = (a, b)
                 break
 
-    outcomes = {}
-    for prop in PROPERTIES:
-        masks = found.get(prop, ())
-        witness = PropertyWitness(prop, tuple(map(ids, masks)), tuple(ids(C[m]) for m in masks))
-        is_pairs = prop == "path-independence"
-        outcomes[prop] = CheckOutcome(
-            prop, not masks, witness if masks else None, pairs_sampled if is_pairs else sampled
-        )
-    return outcomes
+    witnesses = {
+        prop: PropertyWitness(prop, tuple(map(ids, masks)), tuple(ids(C[m]) for m in masks))
+        for prop, masks in found.items()
+    }
+    return _doctor_entries(doctor, n, witnesses, limits)
 
 
-def _outcome(market: Market, doctor: str, limits: ValidationLimits, prop: str) -> CheckOutcome:
-    """One axiom's outcome, from a sweep made once per (doctor, limits)."""
+def _entry(market: Market, doctor: str, limits: ValidationLimits, prop: str) -> ValidationEntry:
+    """One axiom's entry, from a sweep made once per (doctor, limits)."""
     key = (doctor, limits)
     if key not in market._axiom_cache:
         market._axiom_cache[key] = _check_all(market, doctor, limits)
@@ -282,41 +301,41 @@ def _outcome(market: Market, doctor: str, limits: ValidationLimits, prop: str) -
 
 def check_distinct_hospitals(
     market: Market, doctor: str, limits: ValidationLimits = DEFAULT_LIMITS
-) -> CheckOutcome:
+) -> ValidationEntry:
     """C(S) <= S, and no two chosen contracts name the same hospital."""
-    return _outcome(market, doctor, limits, "distinct-hospitals")
+    return _entry(market, doctor, limits, "distinct-hospitals")
 
 
 def check_substitutable(
     market: Market, doctor: str, limits: ValidationLimits = DEFAULT_LIMITS
-) -> CheckOutcome:
+) -> ValidationEntry:
     """Chosen contracts stay chosen when other contracts disappear."""
-    return _outcome(market, doctor, limits, "substitutability")
+    return _entry(market, doctor, limits, "substitutability")
 
 
 def check_consistency(
     market: Market, doctor: str, limits: ValidationLimits = DEFAULT_LIMITS
-) -> CheckOutcome:
+) -> ValidationEntry:
     """Dropping unchosen contracts never changes the choice."""
-    return _outcome(market, doctor, limits, "consistency")
+    return _entry(market, doctor, limits, "consistency")
 
 
 def check_path_independence(
     market: Market, doctor: str, limits: ValidationLimits = DEFAULT_LIMITS
-) -> CheckOutcome:
+) -> ValidationEntry:
     """C(Y | Yp) == C(C(Y) | Yp) over subset pairs.
 
     Derived cross-check: substitutability plus consistency imply it, so a
     failure here flags an internal contradiction in the other checks.
     """
-    return _outcome(market, doctor, limits, "path-independence")
+    return _entry(market, doctor, limits, "path-independence")
 
 
 def check_lad(
     market: Market, doctor: str, limits: ValidationLimits = DEFAULT_LIMITS
-) -> CheckOutcome:
+) -> ValidationEntry:
     """Law of aggregate demand: smaller offer sets never win more contracts."""
-    return _outcome(market, doctor, limits, "lad")
+    return _entry(market, doctor, limits, "lad")
 
 
 CHECKERS = {

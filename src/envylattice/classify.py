@@ -125,7 +125,8 @@ def _blocking(market: Market, Y: frozenset) -> frozenset:
             rank = market.hospital_rank[h.id]
             ranking = ranking[:max((rank.get(x, len(ranking)) for x in held), default=0)]
         for x in ranking:
-            if x not in Y and x in doctor_choose(market, market.contract_by_id[x].doctor, Y | {x}):
+            d = market.contract_by_id[x].doctor
+            if x not in Y and x in doctor_choose(market, d, Y & market.doctor_contracts[d] | {x}):
                 out.append(x)
     return frozenset(out)
 

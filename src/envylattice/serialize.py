@@ -22,6 +22,7 @@ idempotent, and equal markets serialize to identical bytes.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .choice import PropertyWitness
 from .classify import ClassificationReport, EnvyWitness
@@ -209,7 +210,7 @@ def allocation_to_list(Y) -> list[str]:
 def allocation_from_csv(market: Market, text: str) -> frozenset:
     """Parse a comma-separated contract id list; empty text means empty."""
     ids = [part.strip() for part in text.split(",") if part.strip()]
-    dupes = sorted({i for i in ids if ids.count(i) > 1})
+    dupes = sorted(i for i, k in Counter(ids).items() if k > 1)
     if dupes:
         raise UnknownIdError(f"contract ids repeated in allocation literal: {dupes}")
     return check_ids(market, ids)

@@ -5,34 +5,21 @@ unique and resolvable and that every agent spec is well formed (rankings
 name own contracts without duplicates, quotas are positive, choice
 tables are total over the doctor's contracts with rows contained in
 their keys).  Structural failures are fatal and suppress the second
-pass, which replays the choice-axiom checkers on every table doctor.
-Responsive doctors and hospitals follow quota rules over a ranking,
-which satisfy every axiom by construction, so they pass without a sweep.
-Axiom failures are fatal except for the law of aggregate demand, which
-the model treats as an optional regularity and reports informatively.
+pass, which reports the entries the choice-axiom checkers return for
+every table doctor.  Responsive doctors and hospitals follow quota rules
+over a ranking, which satisfy every axiom by construction, so they pass
+without a sweep.  Axiom failures are fatal except for the law of
+aggregate demand, which the model treats as an optional regularity and
+reports informatively.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .choice import PROPERTIES, CHECKERS, CheckOutcome, PropertyWitness, sampled_sweeps
+from .choice import CHECKERS, PROPERTIES, ValidationEntry, _doctor_entries
 from .model import Market, TableDoctor
-
-
-@dataclass(frozen=True)
-class ValidationEntry:
-    agent: str
-    agent_kind: str  # "doctor" | "hospital" | "market"
-    prop: str
-    passed: bool
-    severity: str  # "fatal" | "informative"
-    # For a responsive doctor, which is not swept, this records the size
-    # rule a sweep would follow (more than ``subset_cap`` contracts, or
-    # ``pair_cap`` for path independence), not a sampled check.
-    sampled: bool = False
-    witness: PropertyWitness | None = None
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -69,8 +56,7 @@ def _structural(market: Market) -> list[ValidationEntry]:
     doctor_ids = [d.id for d in market.doctors]
     hospital_ids = [h.id for h in market.hospitals]
     for name, ids in (("doctor", doctor_ids), ("hospital", hospital_ids)):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        for i in dupes:
+        for i in sorted(i for i, k in Counter(ids).items() if k > 1):
             flag(i, name, f"duplicate {name} id {i}")
     overlap = sorted(set(doctor_ids) & set(hospital_ids))
     for i in overlap:
@@ -135,26 +121,12 @@ def validate_market(market: Market) -> ValidationReport:
     entries: list[ValidationEntry] = []
     for d in sorted(market.doctors, key=lambda s: s.id):
         if isinstance(d.choice, TableDoctor):
-            outcomes = [CHECKERS[prop](market, d.id) for prop in PROPERTIES]
+            entries.extend(CHECKERS[prop](market, d.id) for prop in PROPERTIES)
         else:
             # The quota rule is greedy selection over a matroid, so it
             # satisfies every axiom (see ResponsiveDoctor); the ranking
             # itself was vetted structurally.
-            removal, pairs = sampled_sweeps(len(market.doctor_contracts[d.id]))
-            outcomes = [
-                CheckOutcome(prop, True, None, pairs if prop == "path-independence" else removal)
-                for prop in PROPERTIES
-            ]
-        for outcome in outcomes:
-            prop = outcome.prop
-            severity = "informative" if prop == "lad" else "fatal"
-            entries.append(
-                ValidationEntry(
-                    agent=d.id, agent_kind="doctor", prop=prop,
-                    passed=outcome.passed, severity=severity,
-                    sampled=outcome.sampled, witness=outcome.witness,
-                )
-            )
+            entries.extend(_doctor_entries(d.id, len(market.doctor_contracts[d.id]), {}).values())
     for h in sorted(market.hospitals, key=lambda s: s.id):
         # Quota rules over a strict ranking satisfy every axiom; the
         # ranking itself was vetted structurally.

@@ -25,6 +25,9 @@ LATTICE_PATH = MARKET_DIR / "lattice_demo.market.json"
 # responsive_demo: responsive doctors with 3, 11 and 17 contracts, so its
 # validation report has exhaustive, pair-sampled and sampled entries.
 RESPONSIVE_PATH = Path(__file__).resolve().parent / "responsive_demo.market.json"
+# axiom_fatal: one table doctor whose complementary rule breaks
+# substitutability, consistency and path independence.
+AXIOM_FATAL_PATH = Path(__file__).resolve().parent / "axiom_fatal.market.json"
 
 # no_lad_demo: two table doctors, three quota-1 hospitals.  Doctor d2
 # drops from two signed contracts to one when x23 shows up, breaking the

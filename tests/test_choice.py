@@ -7,7 +7,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from envylattice import (
@@ -323,6 +323,26 @@ def test_responsive_validation_matches_the_sweep(n):
         )
     doctors = [e for e in validate_market(m).entries if e.agent_kind == "doctor"]
     assert doctors == swept
+
+
+def assert_report_holds_checker_entries(m: Market):
+    report = validate_market(m).entries
+    for d in m.doctor_by_id:
+        reported = [e for e in report if e.agent_kind == "doctor" and e.agent == d]
+        assert reported == [CHECKERS[p](m, d) for p in PROPERTIES], d
+
+
+def test_validation_reports_the_checkers_entries(no_lad, lattice_demo):
+    for m in (no_lad, lattice_demo):
+        assert_report_holds_checker_entries(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_doctor_markets())
+def test_validation_reports_the_checkers_entries_on_table_draws(m):
+    assume(isinstance(m.doctor_by_id["d"].choice, TableDoctor))
+    assume(validate_market(m).entries[0].prop != "structure")  # rows chosen outside their key
+    assert_report_holds_checker_entries(m)
 
 
 def test_choice_cache_is_per_market(no_lad):

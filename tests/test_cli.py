@@ -18,7 +18,7 @@ import pytest
 
 from envylattice import GenParams, cli, generate_responsive_market, serialize
 
-from conftest import LATTICE_PATH, NO_LAD_PATH, RESPONSIVE_PATH
+from conftest import AXIOM_FATAL_PATH, LATTICE_PATH, NO_LAD_PATH, RESPONSIVE_PATH
 
 
 def run_cli(*args, env_extra=None):
@@ -462,6 +462,7 @@ DOUBLE_RUNS = [
     ),
     pytest.param(("validate", str(RESPONSIVE_PATH)), id="validate-responsive"),
     pytest.param(("verify-lad", str(RESPONSIVE_PATH), "--from", ""), id="verify-lad-responsive"),
+    pytest.param(("validate", str(AXIOM_FATAL_PATH)), id="validate-axiom-fatal"),
 ]
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from envylattice import (
@@ -10,6 +12,7 @@ from envylattice import (
     ResponsiveDoctor,
     generate_responsive_market,
     market_to_json,
+    market_to_text,
     validate_market,
 )
 
@@ -82,3 +85,19 @@ def test_quota_ranges_respected():
     m = generate_responsive_market(p)
     assert all(2 <= d.choice.quota <= 3 for d in m.doctors)
     assert all(1 <= h.quota <= 4 for h in m.hospitals)
+
+
+@pytest.mark.parametrize("params, digest", [
+    # the X=22 baseline market
+    (GenParams(7, 5, 22, seed=5, doctor_quota=(1, 3), hospital_quota=(1, 3)),
+     "d4edb3a48dacc99ba355a3eac81c01e922ac83964ef19af7f3f8845b266c656a"),
+    # the Large X=1000 market
+    (GenParams(60, 40, 1000, seed=1, doctor_quota=(1, 3), hospital_quota=(1, 4)),
+     "045de8f24feacf9ea818784895d68c4d9e03cfa099989dedb8d43101baa86a45"),
+    # the README's `random` example
+    (GenParams(3, 2, 7, seed=42),
+     "1cdc3e45dd3d551012c7c4aaf37308cd5f5f779d98daa2ba15eabaf763c708c7"),
+])
+def test_generated_bytes_are_pinned(params, digest):
+    text = market_to_text(generate_responsive_market(params))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
