@@ -23,6 +23,7 @@ from .classify import (
     EnvyWitness,
     blocking_contracts,
     classify,
+    count_allocations,
     enumerate_allocations,
     is_envy_free,
     is_individually_rational,

@@ -41,11 +41,19 @@ takes one option per hospital: a subset of its contracts with at most
 one per doctor and at most quota many.  Each search asserts the
 restriction accounting identity once, on the contracts its leaves are
 drawn from, and so on every leaf.
+
+``count_allocations`` gives the size of each class without listing it.
+The ``allocation`` count is a closed form over the hospitals.  The
+other classes count the leaves of the doctor search, memoized on the
+frontier, the hospitals that a later doctor can still hold or desire
+(frontier-based search, Kawahara et al. 2017); each count checks the
+cap and asserts the accounting identity once, as the listing does.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from operator import lt
 
@@ -318,6 +326,17 @@ def _ir_parts(market: Market, doctor: str, index: dict[str, int], below) -> list
     return parts
 
 
+def _levels(market: Market, below=()) -> list[list[_Part]]:
+    """The levels of the doctor-side searches: each doctor's IR parts, in
+    sorted doctor id order, after the cap check.  Asserts the accounting
+    identity on the contracts of all the parts."""
+    _check_cap(market)
+    index = {h.id: i for i, h in enumerate(market.hospitals)}
+    levels = [_ir_parts(market, d, index, below) for d in sorted(market.doctor_by_id)]
+    _balanced(market, frozenset().union(*(p.contracts for parts in levels for p in parts)))
+    return levels
+
+
 def _search(market: Market, kind: str, below=()) -> list[tuple[frozenset, bool]]:
     """IR, envy-free or stable allocations by a DFS over doctors, each
     paired with whether it is stable, sorted by ``canon`` of the allocation.
@@ -336,13 +355,10 @@ def _search(market: Market, kind: str, below=()) -> list[tuple[frozenset, bool]]
     flag is computed only when envy is pruned, so every ``ir`` leaf is
     flagged False; ``stable`` keeps only the flagged leaves.
     """
-    _check_cap(market)
+    levels = _levels(market, below)
     hospitals = market.hospitals
     n = len(hospitals)
-    index = {h.id: i for i, h in enumerate(hospitals)}
     quota = [h.quota for h in hospitals]
-    levels = [_ir_parts(market, d, index, below) for d in sorted(market.doctor_by_id)]
-    _balanced(market, frozenset().union(*(p.contracts for parts in levels for p in parts)))
     none = max((len(h.ranking) for h in hospitals), default=0)  # beyond every rank
     envy = kind != "ir"
     chosen: list[frozenset] = []
@@ -396,3 +412,94 @@ def enumerate_allocations(market: Market, kind: str = "allocation") -> list[froz
     if kind == "allocation":
         return all_allocations(market)
     return [Y for Y, _ in _search(market, kind)]
+
+
+def count_allocations(market: Market, kind: str = "allocation") -> int:
+    """The number of allocations of the requested class, without listing
+    them: ``len(enumerate_allocations(market, kind))``, refused alike.
+
+    ``allocation`` has a closed form.  Hospitals take their options
+    independently, and a hospital whose contracts name doctors with
+    n_1, n_2, ... contracts each has, summed over k up to its quota, the
+    k-th elementary symmetric sum of the n_i as options.  The other
+    classes count the leaves of ``_search``'s tree with ``_count``.
+    """
+    if kind not in CLASSES:
+        raise MarketError(f"unknown class {kind!r}, expected one of {CLASSES}")
+    if kind != "allocation":
+        return _count(market, kind)
+    _check_cap(market)
+    _balanced(market, frozenset(c.id for c in market.contracts))
+    doctor_of = {c.id: c.doctor for c in market.contracts}
+    total = 1
+    for h in market.hospitals:
+        sums = [1] + [0] * h.quota  # elementary symmetric sums, up to quota
+        for n in Counter(map(doctor_of.get, market.hospital_contracts[h.id])).values():
+            for k in range(h.quota, 0, -1):
+                sums[k] += sums[k - 1] * n
+        total *= sum(sums)
+    return total
+
+
+def _count(market: Market, kind: str) -> int:
+    """The number of leaves ``_search(market, kind)`` lists, by the same
+    DFS memoized on the frontier.
+
+    The frontier at a level is the hospitals that some part at that
+    level or a later one holds or desires; the others are settled, and
+    passed their envy test when last touched.  So the subtree below a
+    node depends only on its level and on the load, worst held rank and
+    best desired rank of each frontier hospital, and, for ``stable``, on
+    one bit: whether some settled hospital is below quota and desired,
+    which makes no leaf below stable.  The recursion is ``_search``'s,
+    one frame per level, and so is its refusal past the recursion limit.
+    """
+    levels = _levels(market)
+    hospitals = market.hospitals
+    quota = [h.quota for h in hospitals]
+    none = max((len(h.ranking) for h in hospitals), default=0)  # beyond every rank
+    envy = kind != "ir"
+    stable = kind == "stable"
+    frontier = [()]
+    for parts in reversed(levels):
+        touched = {h for p in parts for h, _ in p.held + p.desired}
+        frontier.append(tuple(sorted(touched.union(frontier[-1]))))
+    frontier.reverse()
+    settling = [set(f).difference(g) for f, g in zip(frontier, frontier[1:])]
+    memo: dict[tuple, int] = {}
+
+    def walk(level: int, load: list[int], worst: list[int], best: list[int], closed: bool) -> int:
+        if level == len(levels):
+            return 0 if closed else 1
+        if envy:
+            key = (level, closed, *[(load[h], worst[h], best[h]) for h in frontier[level]])
+        else:  # no envy test: the loads decide
+            key = (level, *[load[h] for h in frontier[level]])
+        total = memo.get(key)
+        if total is not None:
+            return total
+        total = 0
+        for part in levels[level]:  # the step of _search's walk
+            nload, nworst, nbest = load[:], worst[:], best[:]
+            for h, r in part.held:
+                nload[h] += 1
+                nworst[h] = max(nworst[h], r)
+            if any(nload[h] > quota[h] for h, _ in part.held):
+                continue
+            for h, r in part.desired:
+                nbest[h] = min(nbest[h], r)
+            if envy and any(map(lt, nbest, nworst)):
+                continue
+            total += walk(level + 1, nload, nworst, nbest, closed or (stable and any(
+                nload[h] < quota[h] and nbest[h] < none for h in settling[level]
+            )))
+        memo[key] = total
+        return total
+
+    n = len(hospitals)
+    try:
+        return walk(0, [0] * n, [-1] * n, [none] * n, False)
+    except RecursionError:
+        raise EnumerationCapError(
+            f"enumeration search is {len(levels)} levels deep, past the recursion limit"
+        ) from None

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import serialize
@@ -22,7 +21,7 @@ from .reconcile import (
     reference_from_doc,
     render_reconciliation_text,
 )
-from .classify import CLASSES, classify, enumerate_allocations
+from .classify import CLASSES, classify, count_allocations, enumerate_allocations
 from .dynamics import (
     RetirementEvent,
     tarski_fixed_point,
@@ -36,7 +35,7 @@ from .validate import validate_market
 
 
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(serialize._json_text(doc) + "\n")
 
 
 def _say(line: str) -> None:
@@ -91,11 +90,15 @@ def cmd_check(args) -> int:
 
 def cmd_enumerate(args) -> int:
     market, _ = _load_market(args.market)
+    if args.count_only:
+        _emit({"class": args.kind, "count": count_allocations(market, args.kind)})
+        return 0
     allocations = enumerate_allocations(market, args.kind)
-    doc = {"class": args.kind, "count": len(allocations)}
-    if not args.count_only:
-        doc["allocations"] = [serialize.allocation_to_list(Y) for Y in allocations]
-    _emit(doc)
+    _emit({
+        "class": args.kind,
+        "count": len(allocations),
+        "allocations": [serialize.allocation_to_list(Y) for Y in allocations],
+    })
     return 0
 
 
@@ -109,7 +112,7 @@ def cmd_lattice(args) -> int:
         _emit(graph_to_json(graph))
     if reference is not None:
         report = reconcile(market, reference, graph)
-        sys.stderr.write(json.dumps(reconciliation_to_json(report), indent=2) + "\n")
+        sys.stderr.write(serialize._json_text(reconciliation_to_json(report)) + "\n")
         sys.stderr.write(render_reconciliation_text(report))
     return 0
 

@@ -48,6 +48,7 @@ from .model import (
     InvariantViolation,
     Market,
     MarketError,
+    NotAnAllocationError,
     canon,
     require_allocation,
 )
@@ -98,7 +99,8 @@ def _apply(market: Market, step: TarskiStep) -> tuple[frozenset, frozenset]:
     Each doctor with stars re-chooses from their part plus the stars;
     every other doctor keeps their part, which IR makes their choice.
     Returns the image and its blocking set, the one blocking pass of
-    the round, after asserting both theorems on it.
+    the round, after asserting both theorems on it.  An image that is
+    not an allocation breaks them too, and is an InvariantViolation.
     """
     Y = step.allocation
     result = set(Y)
@@ -106,7 +108,12 @@ def _apply(market: Market, step: TarskiStep) -> tuple[frozenset, frozenset]:
         own = Y & market.doctor_contracts[d]
         result -= own
         result |= doctor_choose(market, d, own | gained)
-    out = require_allocation(market, result)
+    try:
+        out = require_allocation(market, result)
+    except NotAnAllocationError as exc:
+        raise InvariantViolation(
+            f"adjustment round produced a non-allocation at {canon(Y)}: {exc}"
+        ) from None
     blocking = _blocking(market, out)
     if not _envy_free(market, out, blocking):
         raise InvariantViolation(

@@ -4,7 +4,10 @@ Every generated doctor uses the greedy quota rule, which satisfies all
 checked axioms including the law of aggregate demand, so generated
 markets are valid by construction and suitable for theorem sweeps.
 Generation is a pure function of the parameters: the same ``GenParams``
-always produce the same market, byte for byte once serialized.
+always produce the same market, byte for byte once serialized.  The
+contracts are grouped by doctor and by hospital in one pass, in
+contract order, so the work is linear in the contracts; the grouping
+draws no random numbers.
 """
 
 from __future__ import annotations
@@ -55,9 +58,16 @@ def generate_responsive_market(params: GenParams) -> Market:
         rng.shuffle(kept)
         return tuple(kept)
 
+    # each agent's contract ids in contract order, grouped in one pass
+    by_doctor: dict[str, list[str]] = {did: [] for did in doctor_ids}
+    by_hospital: dict[str, list[str]] = {hid: [] for hid in hospital_ids}
+    for c in contracts:
+        by_doctor[c.doctor].append(c.id)
+        by_hospital[c.hospital].append(c.id)
+
     doctors = []
     for did in doctor_ids:
-        own = [c.id for c in contracts if c.doctor == did]
+        own = by_doctor[did]
         quota = rng.randint(*params.doctor_quota)
         doctors.append(
             DoctorSpec(id=did, choice=ResponsiveDoctor(quota=quota, ranking=acceptable_shuffle(own)))
@@ -65,7 +75,7 @@ def generate_responsive_market(params: GenParams) -> Market:
 
     hospitals = []
     for hid in hospital_ids:
-        own = [c.id for c in contracts if c.hospital == hid]
+        own = by_hospital[hid]
         quota = rng.randint(*params.hospital_quota)
         hospitals.append(
             HospitalSpec(id=hid, quota=quota, ranking=acceptable_shuffle(own))

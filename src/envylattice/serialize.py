@@ -17,6 +17,10 @@ reconciliation against computed results; it does not affect parsing.
 Allocations on the wire are canonically sorted lists of contract ids.
 Serialization is canonical: parsing a document and re-serializing it is
 idempotent, and equal markets serialize to identical bytes.
+
+Every indented JSON document the program prints, market files
+included, is written by ``_json_text``, which returns exactly
+``json.dumps(doc, indent=2)`` but encodes strings with the C encoder.
 """
 
 from __future__ import annotations
@@ -200,7 +204,47 @@ def market_to_json(market: Market) -> dict:
 
 
 def market_to_text(market: Market) -> str:
-    return json.dumps(market_to_json(market), indent=2) + "\n"
+    return _json_text(market_to_json(market)) + "\n"
+
+
+_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, pad: str = "") -> str:
+    """Exactly ``json.dumps(value, indent=2)``, for a value made of str,
+    int, bool, None, float, lists, tuples and str-keyed dicts.
+
+    ``json.dumps`` encodes with an indent in pure Python; here strings go
+    through the C encoder the module uses without one, ``int``, ``bool``
+    and ``None`` are written inline, and only floats (and anything else)
+    are left to ``json.dumps``.  ``pad`` is the indent of the line the
+    value starts on.
+    """
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_string(v) if type(v) is str else _json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            _string(k) + ": " + (_string(v) if type(v) is str else _json_text(v, inner))
+            for k, v in value.items()
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    return json.dumps(value)
 
 
 def allocation_to_list(Y) -> list[str]:

@@ -365,7 +365,7 @@ def stepwise_round(market: Market, Y: frozenset) -> frozenset:
         for d, own in market.doctor_contracts.items()
     ))
     if not is_allocation(market, out):
-        raise NotAnAllocationError(f"round produced a non-allocation {canon(out)}")
+        raise InvariantViolation(f"round produced a non-allocation {canon(out)}")
     if not _brute_envy_free(market, out):
         raise InvariantViolation(f"round left the envy-free set at {canon(Y)}")
     if not brute_dominance(market, [out, Y])[0][1]:

@@ -20,6 +20,7 @@ from envylattice import (
     blocking_contracts,
     canon,
     classify,
+    count_allocations,
     enumerate_allocations,
     generate_responsive_market,
     is_envy_free,
@@ -69,6 +70,28 @@ def test_allocation_count_matches_the_closed_form(no_lad, lattice_demo):
     ]
     for market in (no_lad, lattice_demo, *generated):
         assert len(enumerate_allocations(market, "allocation")) == allocation_count(market)
+        assert count_allocations(market, "allocation") == allocation_count(market)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_markets())
+def test_counts_equal_the_listings_on_random_markets(market):
+    for kind in ("allocation", "ir", "envy-free", "stable"):
+        assert count_allocations(market, kind) == len(enumerate_allocations(market, kind)), kind
+
+
+def test_counts_equal_the_listings_on_generated_markets(no_lad, lattice_demo):
+    # large enough for the frontier memo to be hit
+    generated = [
+        generate_responsive_market(
+            GenParams(7, 5, X, seed=seed, doctor_quota=(1, 3), hospital_quota=(1, 3))
+        )
+        for seed in (0, 1)
+        for X in range(12, 21, 4)
+    ]
+    for market in (no_lad, lattice_demo, *generated):
+        for kind in ("ir", "envy-free", "stable"):
+            assert count_allocations(market, kind) == len(enumerate_allocations(market, kind)), kind
 
 
 def test_stable_sets_exact(no_lad, lattice_demo):
@@ -136,6 +159,14 @@ def test_accounting_identity_runs_once_per_enumeration(lattice_demo, baseline_x2
             calls.clear()
             enumerate_allocations(market, kind)
             assert len(calls) == 1, kind
+            calls.clear()
+            count_allocations(market, kind)
+            assert len(calls) == 1, kind
+
+
+def test_counts_of_the_baseline(baseline_x22):
+    counts = {kind: count_allocations(baseline_x22, kind) for kind in classify_module.CLASSES}
+    assert counts == {"allocation": 280800, "ir": 5832, "envy-free": 328, "stable": 1}
 
 
 def test_accounting_identity_still_refuses_unknown_doctors():
@@ -173,6 +204,30 @@ def test_search_past_the_recursion_limit_is_refused(monkeypatch):
     for kind in ("allocation", "ir", "envy-free"):
         with pytest.raises(EnumerationCapError, match="levels deep"):
             enumerate_allocations(market, kind)
+
+
+def test_counts_are_refused_like_the_listings(no_lad, monkeypatch):
+    monkeypatch.setenv("ENVYLATTICE_ENUM_CAP", "4")
+    for kind in classify_module.CLASSES:
+        with pytest.raises(EnumerationCapError, match="^market has 6 contracts, enumeration cap is 4$"):
+            count_allocations(no_lad, kind)
+    monkeypatch.setenv("ENVYLATTICE_ENUM_CAP", "many")
+    for kind in classify_module.CLASSES:
+        with pytest.raises(MarketError, match="must be an integer"):
+            count_allocations(no_lad, kind)
+    with pytest.raises(MarketError, match="unknown class"):
+        count_allocations(no_lad, "everything")
+
+
+def test_counts_past_the_recursion_limit(monkeypatch):
+    # the doctor-side counts recurse like the searches; the closed form
+    # for all allocations does not recurse, and answers
+    market = generate_responsive_market(GenParams(1200, 1200, 1200, seed=1))
+    monkeypatch.setenv("ENVYLATTICE_ENUM_CAP", "100000")
+    for kind in ("ir", "envy-free", "stable"):
+        with pytest.raises(EnumerationCapError, match="^enumeration search is 1200 levels deep"):
+            count_allocations(market, kind)
+    assert count_allocations(market, "allocation") == allocation_count(market)
 
 
 @pytest.mark.parametrize("value", ["", "many", "6.0"])

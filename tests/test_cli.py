@@ -207,6 +207,7 @@ def test_deep_search_is_a_refusal(tmp_path):
     for argv in (
         *(("enumerate", str(path), "--class", kind) for kind in ("allocation", "ir", "envy-free")),
         ("lattice", str(path), "--format", "json"),
+        *(("enumerate", str(path), "--class", kind, "--count-only") for kind in ("ir", "envy-free")),
     ):
         proc = run_cli(*argv, env_extra={"ENVYLATTICE_ENUM_CAP": "100000"})
         assert proc.returncode == 1, argv
@@ -215,6 +216,15 @@ def test_deep_search_is_a_refusal(tmp_path):
         assert payload["error"]["message"].endswith("levels deep, past the recursion limit")
         assert line == f"error: {payload['error']['message']}"
         assert proc.stderr == b""
+
+
+def test_count_only_is_refused_like_the_listing():
+    # responsive_demo has 31 contracts, above the default cap of 22
+    for kind in ("allocation", "ir", "envy-free", "stable"):
+        listing = run_cli("enumerate", str(RESPONSIVE_PATH), "--class", kind)
+        counting = run_cli("enumerate", str(RESPONSIVE_PATH), "--class", kind, "--count-only")
+        assert listing.returncode == counting.returncode == 1, kind
+        assert (counting.stdout, counting.stderr) == (listing.stdout, listing.stderr), kind
 
 
 def test_meet_checks_its_inputs_before_the_cap():
@@ -463,6 +473,13 @@ DOUBLE_RUNS = [
     pytest.param(("validate", str(RESPONSIVE_PATH)), id="validate-responsive"),
     pytest.param(("verify-lad", str(RESPONSIVE_PATH), "--from", ""), id="verify-lad-responsive"),
     pytest.param(("validate", str(AXIOM_FATAL_PATH)), id="validate-axiom-fatal"),
+    *(
+        pytest.param(
+            ("enumerate", str(LATTICE_PATH), "--class", kind, "--count-only"),
+            id=f"enumerate-count-{kind}-lattice-demo",
+        )
+        for kind in ("allocation", "ir", "envy-free", "stable")
+    ),
 ]
 
 

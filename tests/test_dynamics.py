@@ -328,6 +328,29 @@ def test_round_that_leaves_the_envy_free_set_raises(step):
         step(LEAVES_ENVY_FREE, frozenset())
 
 
+# One table doctor with two contracts at a quota-2 hospital that ranks
+# c02 first.  From {c02} only c01 blocks, and the doctor, offered it,
+# keeps both: two contracts between one doctor and one hospital.
+TWO_AT_ONE_HOSPITAL = Market(
+    doctors=(DoctorSpec(id="d1", choice=TableDoctor(table={
+        frozenset({"c01"}): frozenset({"c01"}),
+        frozenset({"c02"}): frozenset({"c02"}),
+        frozenset({"c01", "c02"}): frozenset({"c01", "c02"}),
+    })),),
+    hospitals=(HospitalSpec(id="h1", quota=2, ranking=("c02", "c01")),),
+    contracts=(Contract(id="c01", doctor="d1", hospital="h1"),
+               Contract(id="c02", doctor="d1", hospital="h1")),
+)
+
+
+@pytest.mark.parametrize("step", [tarski_step, tarski_fixed_point, oracles.stepwise_trace])
+def test_round_whose_image_is_not_an_allocation_raises(step):
+    Y = frozenset({"c02"})
+    assert is_envy_free(TWO_AT_ONE_HOSPITAL, Y)
+    with pytest.raises(InvariantViolation, match="non-allocation"):
+        step(TWO_AT_ONE_HOSPITAL, Y)
+
+
 @pytest.mark.parametrize("step", [tarski_step, tarski_fixed_point, oracles.stepwise_trace])
 def test_round_that_moves_a_doctor_down_raises(step):
     Y = frozenset({"c03"})

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envylattice import (
     FatalValidationError,
@@ -22,6 +24,7 @@ from envylattice import (
     validate_market,
 )
 from envylattice.serialize import (
+    _json_text,
     allocation_from_csv,
     allocation_to_list,
     classification_to_json,
@@ -200,3 +203,27 @@ def test_trace_json_and_text(no_lad):
     assert "fixed point: {x11, x12, x23}" in text
     assert "iterations: 1" in text
     assert render_trace_text(trace) == text
+
+
+_texts = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028é€😀'))
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | _texts,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_texts, children, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_json_text_is_json_dumps_with_indent(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
