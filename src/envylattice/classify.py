@@ -116,8 +116,9 @@ def _ir(market: Market, Y: frozenset) -> bool:
     return all(x in rank[market.contract_by_id[x].hospital] for x in Y)
 
 
-def _blocking(market: Market, Y: frozenset) -> frozenset:
-    """The contracts outside the allocation Y that block it, unchecked.
+def _blocking(market: Market, Y: frozenset, hospitals=None) -> frozenset:
+    """The contracts outside the allocation Y that block it, unchecked;
+    only those at the ids in ``hospitals`` when it is given.
 
     Each hospital's ranking is read best first, so only acceptable
     contracts are read; a full hospital's is cut at the worst rank it
@@ -125,8 +126,12 @@ def _blocking(market: Market, Y: frozenset) -> frozenset:
     nothing).  The doctor is asked about each contract read outside Y:
     x in C_d(Y_d | {x}).
     """
+    if hospitals is None:
+        hospitals = market.hospitals
+    else:
+        hospitals = map(market.hospital_by_id.__getitem__, hospitals)
     out = []
-    for h in market.hospitals:
+    for h in hospitals:
         ranking = h.ranking
         held = Y & market.hospital_contracts[h.id]
         if len(held) >= h.quota:

@@ -10,14 +10,12 @@ any envy-free start walks up to a stable outcome.  Both facts are
 asserted on every computed step; their failure means the market
 violates the choice axioms and is reported loudly.
 
-Each visited state costs one blocking pass.  The walk checks its start
-once: an allocation, IR, and no justified envy by its blocking set.
-Each round takes the starred set from the blocking set in hand, lets
-the doctors with stars re-choose (IR keeps every other doctor's part),
-checks that the image is an allocation, and computes the image's
-blocking set.  That one set gives the envy-free assertion, the next
-step of the trace and the stop test.  The Blair assertion is the join
-closed form, choice_join(T(Y), Y) == T(Y).  The walk stops on the
+The walk checks its start once: an allocation, IR, and no justified
+envy by its blocking set.  Each round takes the starred set from the
+blocking set in hand, lets the doctors with stars re-choose (IR keeps
+every other doctor's part), and re-reads only what moved.  The image's
+blocking set stays exact and gives the envy-free assertion, the next
+step of the trace and the stop test.  The walk stops on the
 first state with an empty blocking set, and that state passed the
 envy-free assertion, so it is stable with no further check.
 ``tarski_step`` and ``star_blocking`` check their input once and run
@@ -26,7 +24,8 @@ the same round.
 The vacancy-chain operation applies this to retirements: deleting some
 doctors (and all their contracts) from a market leaves the surviving
 part of any stable allocation envy-free in the reduced market, and the
-iteration re-stabilizes it.
+iteration re-stabilizes it; only the hospitals that lost a retiree's
+contract are read for the survivors' blocking set.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from dataclasses import dataclass
 from .choice import doctor_choose, hospital_prefers
 from .classify import (
     _blocking,
-    _envy_free,
     _ir,
     _require_envy_free,
     _witnesses,
@@ -48,7 +46,7 @@ from .model import (
     InvariantViolation,
     Market,
     MarketError,
-    NotAnAllocationError,
+    allocation_violations,
     canon,
     require_allocation,
 )
@@ -98,32 +96,54 @@ def _apply(market: Market, step: TarskiStep) -> tuple[frozenset, frozenset]:
 
     Each doctor with stars re-chooses from their part plus the stars;
     every other doctor keeps their part, which IR makes their choice.
-    Returns the image and its blocking set, the one blocking pass of
-    the round, after asserting both theorems on it.  An image that is
-    not an allocation breaks them too, and is an InvariantViolation.
+    Returns the image and its blocking set after asserting both
+    theorems on it.  An image that is not an allocation breaks them
+    too, and is an InvariantViolation.
+
+    Whether x blocks depends only on its doctor's part and its
+    hospital's holdings, so only the hospitals where a moved doctor
+    (one whose part changed) has a contract are read again.  The checks
+    are exact at the moved doctors alone: the allocation axioms at their
+    pairs and at the hospitals that gained a contract; IR and the Blair
+    assertion, the join closed form choice_join(T(Y), Y) == T(Y), per
+    moved doctor (each held contract was held at Y or is starred, so it
+    is acceptable); and Y has no justified envy, so a witness of the
+    image is among the blocking contracts read again.
     """
     Y = step.allocation
-    result = set(Y)
+    contract = market.contract_by_id
+    moved: dict[str, tuple[frozenset, frozenset]] = {}
     for d, gained in step.per_doctor.items():
         own = Y & market.doctor_contracts[d]
-        result -= own
-        result |= doctor_choose(market, d, own | gained)
-    try:
-        out = require_allocation(market, result)
-    except NotAnAllocationError as exc:
+        new = doctor_choose(market, d, own | gained)
+        if new != own:
+            moved[d] = own, new
+    out = Y.difference(*(own for own, _ in moved.values())).union(
+        *(new for _, new in moved.values())
+    )
+    if any(
+        len({contract[x].hospital for x in new}) < len(new) for _, new in moved.values()
+    ) or any(
+        len(out & market.hospital_contracts[h]) > market.hospital_by_id[h].quota
+        for h in {contract[x].hospital for x in out - Y}
+    ):
         raise InvariantViolation(
-            f"adjustment round produced a non-allocation at {canon(Y)}: {exc}"
-        ) from None
-    blocking = _blocking(market, out)
-    if not _envy_free(market, out, blocking):
+            f"adjustment round produced a non-allocation at {canon(Y)}: "
+            + "; ".join(allocation_violations(market, out))
+        )
+    touched = {contract[x].hospital for d in moved for x in market.doctor_contracts[d]}
+    fresh = _blocking(market, out, touched)
+    if any(doctor_choose(market, d, new) != new for d, (_, new) in moved.items()) or _witnesses(
+        market, out, fresh
+    ):
         raise InvariantViolation(
             f"adjustment round left the envy-free set at {canon(Y)} -> {canon(out)}"
         )
-    if choice_join(market, out, Y) != out:
+    if any(doctor_choose(market, d, own | new) != new for d, (own, new) in moved.items()):
         raise InvariantViolation(
             f"adjustment round moved doctors down the Blair order at {canon(Y)}"
         )
-    return out, blocking
+    return out, fresh.union(x for x in step.blocking if contract[x].hospital not in touched)
 
 
 def star_blocking(market: Market, Y) -> frozenset:
@@ -176,23 +196,55 @@ class RetirementEvent:
 
 
 def reduce_market(market: Market, retiring) -> Market:
-    """The market without the retiring doctors and all their contracts."""
+    """The market without the retiring doctors and all their contracts.
+
+    Its indexes are the parent's with the retirees and their contracts
+    deleted.  A hospital that lost no contract keeps its spec and rank
+    dict: a validated ranking names only the hospital's own contracts.
+    The reduced market shares the parent's choice memo.  Every survivor
+    keeps their rule and X_d, so each key (d, S) means the same in both,
+    and ``doctor_choose`` refuses a retiree before it reads the memo.
+    """
     retiring = frozenset(retiring)
     unknown = sorted(r for r in retiring if r not in market.doctor_by_id)
     if unknown:
         raise MarketError(f"unknown doctor ids: {unknown}")
-    dead = {c.id for c in market.contracts if c.doctor in retiring}
-    doctors = tuple(d for d in market.doctors if d.id not in retiring)
-    contracts = tuple(c for c in market.contracts if c.id not in dead)
-    hospitals = tuple(
-        HospitalSpec(
-            id=h.id,
-            quota=h.quota,
-            ranking=tuple(cid for cid in h.ranking if cid not in dead),
+    dead = frozenset().union(*(market.doctor_contracts[r] for r in retiring))
+    lost = {market.contract_by_id[x].hospital for x in dead}
+    changed = {
+        h.id: HospitalSpec(
+            id=h.id, quota=h.quota, ranking=tuple(x for x in h.ranking if x not in dead)
         )
-        for h in market.hospitals
+        for h in market.hospitals if h.id in lost
+    }
+    reduced = Market(
+        doctors=tuple(d for d in market.doctors if d.id not in retiring),
+        hospitals=tuple(changed.get(h.id, h) for h in market.hospitals),
+        contracts=tuple(c for c in market.contracts if c.id not in dead),
     )
-    return Market(doctors=doctors, hospitals=hospitals, contracts=contracts)
+    vars(reduced).update(
+        contract_by_id=_without(market.contract_by_id, dead),
+        doctor_by_id=_without(market.doctor_by_id, retiring),
+        doctor_contracts=_without(market.doctor_contracts, retiring),
+        hospital_by_id={**market.hospital_by_id, **changed},
+        hospital_contracts={
+            **market.hospital_contracts,
+            **{h: market.hospital_contracts[h] - dead for h in changed},
+        },
+        hospital_rank={
+            **market.hospital_rank,
+            **{h: {x: i for i, x in enumerate(spec.ranking)} for h, spec in changed.items()},
+        },
+        _choice_cache=market._choice_cache,
+    )
+    return reduced
+
+
+def _without(index: dict, keys) -> dict:
+    out = dict(index)
+    for key in keys:
+        del out[key]
+    return out
 
 
 def vacancy_chain(market: Market, event: RetirementEvent) -> tuple[Market, TarskiTrace]:
@@ -202,6 +254,9 @@ def vacancy_chain(market: Market, event: RetirementEvent) -> tuple[Market, Tarsk
     keeps the surviving part of the allocation, asserts it is envy-free
     there (anything else disproves the model and is raised with the
     witnesses attached, never repaired), and iterates to a fixed point.
+    The survivors keep their parts, so they stay IR, and ``before`` is
+    stable, so a contract can block the survivors only at a hospital
+    that lost a retiree's contract; only those hospitals are read.
     """
     if not event.retiring:
         raise MarketError("retiring set must be nonempty")
@@ -209,12 +264,11 @@ def vacancy_chain(market: Market, event: RetirementEvent) -> tuple[Market, Tarsk
     if not _ir(market, before) or _blocking(market, before):
         raise MarketError(f"allocation {canon(before)} is not stable in this market")
     reduced = reduce_market(market, event.retiring)
-    surviving = frozenset(
-        x for x in before if market.contract_by_id[x].doctor not in event.retiring
-    )
-    blocking = _blocking(reduced, surviving)
-    if not _envy_free(reduced, surviving, blocking):
-        witnesses = _witnesses(reduced, surviving, blocking)
+    retired = frozenset().union(*(before & market.doctor_contracts[r] for r in event.retiring))
+    surviving = before - retired
+    blocking = _blocking(reduced, surviving, {market.contract_by_id[x].hospital for x in retired})
+    witnesses = _witnesses(reduced, surviving, blocking)
+    if witnesses:
         raise InvariantViolation(
             "surviving allocation is not envy-free in the reduced market; "
             f"restriction={canon(surviving)} witnesses={witnesses}"

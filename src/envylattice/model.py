@@ -17,8 +17,10 @@ doctor-hospital pair, and no hospital above quota.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 ContractId = str
 DoctorId = str
@@ -162,6 +164,8 @@ class Market:
     @cached_property
     def _choice_cache(self) -> dict:
         # Memo of doctor_choose, keyed (doctor, frozenset of own contracts).
+        # dynamics.reduce_market shares it with the reduced market, where
+        # every surviving doctor keeps their rule and own contracts.
         return {}
 
     @cached_property
@@ -198,30 +202,37 @@ def restrict(market: Market, Y, agent: str) -> frozenset:
     raise UnknownIdError(f"unknown agent id: {agent!r}")
 
 
+_pair = attrgetter("doctor", "hospital")
+_hospital = attrgetter("hospital")
+
+
 def allocation_violations(market: Market, Y) -> list[str]:
     """Axiom violations that stop ``Y`` from being an allocation.
 
     Returns an empty list when ``Y`` is an allocation.  Violations are
-    reported deterministically, sorted by the ids involved.
+    reported deterministically, sorted by the ids involved.  One pass
+    counts the pairs and the hospital loads; only the violated entries
+    are sorted.
     """
     Y = check_ids(market, Y)
+    contracts = list(map(market.contract_by_id.__getitem__, Y))
     out = []
-    by_pair: dict[tuple[str, str], list[str]] = {}
-    by_hospital: dict[str, int] = {}
-    for x in sorted(Y):
-        c = market.contract_by_id[x]
-        by_pair.setdefault((c.doctor, c.hospital), []).append(x)
-        by_hospital[c.hospital] = by_hospital.get(c.hospital, 0) + 1
-    for (d, h), ids in sorted(by_pair.items()):
-        if len(ids) > 1:
-            out.append(
-                f"doctor {d} and hospital {h} are paired by "
-                f"{len(ids)} contracts: {', '.join(ids)}"
-            )
-    for h, n in sorted(by_hospital.items()):
-        q = market.hospital_by_id[h].quota
-        if n > q:
-            out.append(f"hospital {h} holds {n} contracts, quota {q}")
+    if len(set(map(_pair, contracts))) < len(contracts):
+        by_pair: dict[tuple[str, str], list[str]] = {}
+        for c in contracts:
+            by_pair.setdefault(_pair(c), []).append(c.id)
+        for (d, h), ids in sorted(by_pair.items()):
+            if len(ids) > 1:
+                out.append(
+                    f"doctor {d} and hospital {h} are paired by "
+                    f"{len(ids)} contracts: {', '.join(sorted(ids))}"
+                )
+    hospital_by_id = market.hospital_by_id
+    for h, n in sorted(
+        (h, n) for h, n in Counter(map(_hospital, contracts)).items()
+        if n > hospital_by_id[h].quota
+    ):
+        out.append(f"hospital {h} holds {n} contracts, quota {hospital_by_id[h].quota}")
     return out
 
 

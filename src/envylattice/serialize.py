@@ -26,6 +26,7 @@ included, is written by ``_json_text``, which returns exactly
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 
 from .choice import PropertyWitness
@@ -36,6 +37,7 @@ from .model import (
     DoctorSpec,
     HospitalSpec,
     Market,
+    MarketError,
     ResponsiveDoctor,
     TableDoctor,
     UnknownIdError,
@@ -229,7 +231,13 @@ def _json_text(value, pad: str = "") -> str:
     if value is False:
         return "false"
     if isinstance(value, int):
-        return int.__repr__(value)
+        try:
+            return int.__repr__(value)
+        except ValueError:  # more digits than Python converts to text
+            raise MarketError(
+                f"cannot print an integer of more than {sys.get_int_max_str_digits()} "
+                "digits, Python's limit for integer-to-text conversion"
+            ) from None
     inner = pad + "  "
     if isinstance(value, (list, tuple)):
         if not value:

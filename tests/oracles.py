@@ -82,6 +82,30 @@ def allocation_count(market: Market) -> int:
     return total
 
 
+def sorted_allocation_violations(market: Market, Y) -> list[str]:
+    """The allocation-axiom violations of Y by one pass over its ids in
+    sorted order: the doctor-hospital pairs signed more than once, then
+    the hospitals above quota, each group sorted by its ids."""
+    by_pair: dict[tuple[str, str], list[str]] = {}
+    by_hospital: dict[str, int] = {}
+    for x in sorted(Y):
+        c = market.contract_by_id[x]
+        by_pair.setdefault((c.doctor, c.hospital), []).append(x)
+        by_hospital[c.hospital] = by_hospital.get(c.hospital, 0) + 1
+    out = []
+    for (d, h), ids in sorted(by_pair.items()):
+        if len(ids) > 1:
+            out.append(
+                f"doctor {d} and hospital {h} are paired by "
+                f"{len(ids)} contracts: {', '.join(ids)}"
+            )
+    for h, n in sorted(by_hospital.items()):
+        q = market.hospital_by_id[h].quota
+        if n > q:
+            out.append(f"hospital {h} holds {n} contracts, quota {q}")
+    return out
+
+
 def brute_dominance(market: Market, nodes) -> list[list[bool]]:
     """matrix[i][j]: every doctor, offered both parts, keeps nodes[i]'s."""
     return [

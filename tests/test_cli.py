@@ -227,6 +227,35 @@ def test_count_only_is_refused_like_the_listing():
         assert (counting.stdout, counting.stderr) == (listing.stdout, listing.stderr), kind
 
 
+def test_count_past_the_digit_limit_is_a_refusal(tmp_path, monkeypatch, capsys):
+    # Huge X=10,000 has about 1,000 digits of allocations, above a 640 limit
+    market = generate_responsive_market(
+        GenParams(500, 330, 10000, seed=1, doctor_quota=(1, 3), hospital_quota=(1, 4))
+    )
+    path = tmp_path / "huge.market.json"
+    path.write_text(serialize.market_to_text(market))
+    monkeypatch.setenv("ENVYLATTICE_ENUM_CAP", "100000")
+    argv = ["enumerate", str(path), "--class", "allocation", "--count-only"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = capsys.readouterr()
+    assert code == 1
+    payload, line = split_json_and_line(out.encode())
+    assert payload["error"] == {
+        "type": "refusal",
+        "message": "cannot print an integer of more than 640 digits, "
+        "Python's limit for integer-to-text conversion",
+    }
+    assert line == f"error: {payload['error']['message']}"
+    assert err == ""
+    assert cli.main(argv) == 0
+    assert 640 < len(str(json.loads(capsys.readouterr().out)["count"])) < limit
+
+
 def test_meet_checks_its_inputs_before_the_cap():
     # responsive_demo has 31 contracts, above the default cap of 22
     proc = run_cli("meet", str(RESPONSIVE_PATH), "--left", "", "--right", "")
@@ -479,6 +508,14 @@ DOUBLE_RUNS = [
             id=f"enumerate-count-{kind}-lattice-demo",
         )
         for kind in ("allocation", "ir", "envy-free", "stable")
+    ),
+    pytest.param(
+        ("tarski", str(RESPONSIVE_PATH), "--from", "", "--trace"), id="tarski-responsive"
+    ),
+    pytest.param(
+        ("vacancy-chain", str(RESPONSIVE_PATH), "--stable", "x11,x206,x208,x311,x312,x317",
+         "--retire", "d2", "--trace"),
+        id="vacancy-chain-responsive",
     ),
 ]
 

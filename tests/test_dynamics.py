@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib
+import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -20,11 +22,13 @@ from envylattice import (
     MarketError,
     RetirementEvent,
     TableDoctor,
+    UnknownIdError,
     blair_dominates,
     blocking_contracts,
     canon,
     check_lad,
     classify,
+    doctor_choose,
     enumerate_allocations,
     generate_responsive_market,
     is_envy_free,
@@ -288,6 +292,59 @@ def test_vacancy_chain_matches_stepwise_oracle(market):
             ), (canon(before), retiree)
 
 
+X300 = GenParams(20, 13, 300, seed=1, doctor_quota=(1, 3), hospital_quota=(1, 4))
+
+
+@pytest.fixture(scope="module")
+def x300():
+    """The X=300 market and the fixed point of its walk from the empty set."""
+    market = generate_responsive_market(X300)
+    return market, tarski_fixed_point(market, frozenset()).fixed_point
+
+
+def _retirements(market) -> list[frozenset]:
+    doctors = sorted(market.doctor_by_id)
+    pairs = random.Random(0).sample(list(itertools.combinations(doctors, 2)), 5)
+    return [frozenset({d}) for d in doctors] + [frozenset(p) for p in pairs]
+
+
+def test_walk_and_chains_match_stepwise_oracle_at_scale(x300):
+    market, fixed_point = x300
+    trace = tarski_fixed_point(market, frozenset())
+    assert trace == oracles.stepwise_trace(market, frozenset())
+    assert trace.iterations > 1
+    for retiring in _retirements(market):
+        event = RetirementEvent(retiring=retiring, before=fixed_point)
+        reduced, chain = vacancy_chain(market, event)
+        assert (reduced, chain) == oracles.stepwise_vacancy(market, event), sorted(retiring)
+        for step in chain.steps:
+            assert step.blocking == classify_module._blocking(reduced, step.allocation)
+
+
+def test_reduce_market_derives_the_indexes_of_a_fresh_market(x300):
+    market, fixed_point = x300
+    retiring = {"d3", "d11"}
+    reduced = reduce_market(market, retiring)
+    fresh = Market(doctors=reduced.doctors, hospitals=reduced.hospitals, contracts=reduced.contracts)
+    for index in ("contract_by_id", "doctor_by_id", "hospital_by_id",
+                  "doctor_contracts", "hospital_contracts", "hospital_rank"):
+        assert getattr(reduced, index) == getattr(fresh, index), index
+    lost = {market.contract_by_id[x].hospital for r in retiring for x in market.doctor_contracts[r]}
+    assert lost and lost != set(market.hospital_by_id)
+    for h in market.hospital_by_id.keys() - lost:
+        assert reduced.hospital_by_id[h] is market.hospital_by_id[h]
+        assert reduced.hospital_rank[h] is market.hospital_rank[h]
+    assert reduced._choice_cache is market._choice_cache
+    for d in sorted(reduced.doctor_by_id):
+        own = fixed_point & market.doctor_contracts[d]
+        for x in sorted(market.doctor_contracts[d]):
+            for S in ({x}, own | {x}, own - {x}):
+                assert doctor_choose(reduced, d, S) == doctor_choose(fresh, d, S), (d, canon(S))
+    for r in retiring:
+        with pytest.raises(UnknownIdError):
+            doctor_choose(reduced, r, market.doctor_contracts[r])
+
+
 # One table doctor with two contracts at a quota-2 hospital that ranks
 # c02 first.  From the empty allocation only c01 blocks, the doctor
 # signs it, and then envies themself: c02 would now be chosen.
@@ -374,7 +431,7 @@ def counted(monkeypatch):
     for owner in (classify_module, dynamics_module):
         monkeypatch.setattr(owner, "_blocking", blocking)
     violations = count("allocation_violations", model_module.allocation_violations)
-    for owner in (model_module, classify_module, lattice_module):
+    for owner in (model_module, classify_module, lattice_module, dynamics_module):
         monkeypatch.setattr(owner, "allocation_violations", violations)
     return calls
 
@@ -388,12 +445,43 @@ def test_walk_computes_blocking_once_per_state(no_lad, lattice_demo, counted):
     for market, Y in starts:
         counted.clear()
         trace = tarski_fixed_point(market, Y)
-        # the start check, then one pass and one allocation check per round
+        # the start check, then one blocking pass per round; a round
+        # checks its image as an allocation locally
         assert counted == {
             "_blocking": trace.iterations + 1,
-            "allocation_violations": trace.iterations + 1,
+            "allocation_violations": 1,
         }, canon(Y)
     assert trace.iterations > 1
+
+
+def test_chain_reads_only_the_hospitals_it_touched(x300, monkeypatch):
+    market, fixed_point = x300
+    passed = []
+    blocking = classify_module._blocking
+
+    def recorded(market, Y, hospitals=None):
+        passed.append(hospitals)
+        return blocking(market, Y, hospitals)
+
+    monkeypatch.setattr(dynamics_module, "_blocking", recorded)
+    contract = market.contract_by_id
+    local = []
+    for d in sorted(market.doctor_by_id):
+        passed.clear()
+        _, trace = vacancy_chain(
+            market, RetirementEvent(retiring=frozenset({d}), before=fixed_point)
+        )
+        # where the retiree held a contract, and where a moved doctor has one
+        touched = {contract[x].hospital for x in fixed_point & market.doctor_contracts[d]}
+        for a, b in zip(trace.steps, trace.steps[1:]):
+            for own in market.doctor_contracts.values():
+                if a.allocation & own != b.allocation & own:
+                    touched |= {contract[x].hospital for x in own}
+        # the stability check of the start reads every hospital
+        assert passed[0] is None and len(passed) == trace.iterations + 2, d
+        assert set().union(*passed[1:]) <= touched, d
+        local.append(len(touched) < len(market.hospitals))
+    assert any(local)
 
 
 def test_point_predicates_check_once(no_lad, counted):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
+import oracles
 from envylattice import (
     Contract,
     HospitalSpec,
@@ -17,7 +19,7 @@ from envylattice import (
 )
 from envylattice.model import require_allocation
 
-from conftest import DOCTOR_OPT, EF_MIDDLE
+from conftest import DOCTOR_OPT, EF_MIDDLE, small_markets
 
 
 def test_contract_is_frozen():
@@ -99,3 +101,21 @@ def test_market_accepts_several_contracts_per_pair():
     assert m.hospital_contracts["h"] == frozenset({"a", "b"})
     # same doctor-hospital pair twice is never an allocation
     assert not is_allocation(m, frozenset({"a", "b"}))
+
+
+def test_violations_match_the_sorted_oracle():
+    # every contract set of each drawn market, broken ones included
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(small_markets())
+    def check(market):
+        for Y in oracles.subsets_of(c.id for c in market.contracts):
+            expected = oracles.sorted_allocation_violations(market, Y)
+            assert allocation_violations(market, Y) == expected, canon(Y)
+            seen.update(v.split()[0] for v in expected)
+            if len(expected) > 1:
+                seen.add("several")
+
+    check()
+    assert seen == {"doctor", "hospital", "several"}
