@@ -14,10 +14,17 @@ contracts X_d:
 
 The quantified checks run over single-element removals instead of all
 subset pairs: the full universally-quantified properties follow from the
-single-removal instances by induction on the removed set.  Witnesses are
-reported as full (Y, Yp) pairs either way so that replaying them through
-the evaluator reproduces the violation.  Each checker returns the
-``ValidationEntry`` that the validation report prints.
+single-removal instances by induction on the removed set.  Path
+independence is decided the same way, by single additions: it holds for
+every pair (A, B) exactly when C(C(A)) == C(A) and C(A | x) ==
+C(C(A) | x) for every A and every single contract x.  Both are instances
+of it, and induction on |B| gives the rest: C(A | B | x) ==
+C(C(A | B) | x) == C(C(C(A) | B) | x) == C(C(A) | B | x).  Only when the
+decision fails are the pairs scanned, A major, for the first witness.
+Witnesses are reported as full (Y, Yp) pairs either way so that
+replaying them through the evaluator reproduces the violation.  Each
+checker returns the ``ValidationEntry`` that the validation report
+prints.
 """
 
 from __future__ import annotations
@@ -63,9 +70,11 @@ def evaluate_doctor(market: Market, doctor: str, own: frozenset) -> frozenset:
     """C_d on a nonempty subset of X_d, uncached.
 
     This is the one definition of each doctor rule: ``doctor_choose``
-    memoizes it and the axiom checkers validate it.  For table doctors a
-    missing row is a hard fault: validation proves totality, so a miss
-    means the table was mutated after construction.
+    memoizes it and the axiom checkers validate it.  The checkers read a
+    table doctor's rows directly and call this only for a subset the
+    table lacks.  For table doctors a missing row is a hard fault:
+    validation proves totality, so a miss means the table was mutated
+    after construction.
     """
     rule = market.doctor_by_id[doctor].choice
     if isinstance(rule, TableDoctor):
@@ -143,9 +152,9 @@ class ValidationLimits:
     """Exhaustiveness caps for the axiom checkers.
 
     Up to ``subset_cap`` own contracts the single-removal sweeps cover
-    all n * 2^n instances; path independence sweeps all 4^n subset pairs
-    up to ``pair_cap``.  Larger agents are spot-checked with ``samples``
-    seeded random instances and the outcome is marked sampled.
+    all n * 2^n instances; path independence is decided over all 4^n
+    subset pairs up to ``pair_cap``.  Larger agents are spot-checked with
+    ``samples`` seeded random instances and the outcome is marked sampled.
     """
 
     subset_cap: int = 16
@@ -203,15 +212,33 @@ def _doctor_entries(doctor: str, n: int, witnesses: dict, limits=DEFAULT_LIMITS)
     }
 
 
+def _path_independent(table: list[int]) -> bool:
+    """Whether C(a | b) == C(C(a) | b) for all masks a and b.
+
+    ``table[a]`` is C(a) over n contracts, for all 2^n masks.  Checks
+    b = {} and every single contract b = {x}, which decide all pairs (see
+    the module docstring): n + 1 passes over the table instead of 4^n
+    pairs.
+    """
+    full = range(len(table))
+    for x in (0, *(1 << i for i in range(len(table).bit_length() - 1))):
+        up = [table[m | x] for m in full]  # C(m | x)
+        if list(map(up.__getitem__, table)) != up:  # C(C(m) | x) == C(m | x)
+            return False
+    return True
+
+
 def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict[str, ValidationEntry]:
     """Every axiom's entry for one doctor, from one table of choices.
 
-    Subsets of X_d are bitmasks over the sorted contract order, and each
-    is evaluated at most once.  One sweep over the masks checks distinct
-    hospitals, substitutability, consistency and LAD together; path
-    independence then reads the same table.  The witness of each property
-    is its first violation in the order masks ascending, then removed bit
-    ascending, or pairs (a, b) with a major for path independence.
+    Subsets of X_d are bitmasks over the sorted contract order.  A table
+    doctor's rows are read into the mask table in one pass; any other
+    subset is evaluated at most once, when first read.  One sweep over
+    the masks checks distinct hospitals, substitutability, consistency
+    and LAD together; path independence then reads the same table.  The
+    witness of each property is its first violation in the order masks
+    ascending, then removed bit ascending, or pairs (a, b) with a major
+    for path independence.
     """
     contracts = canon(market.doctor_contracts[doctor])
     n = len(contracts)
@@ -235,6 +262,16 @@ def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict[st
         return sum(map(bit.__getitem__, chosen))
 
     C = _Memo(choose)
+    C[0] = 0
+    rule = market.doctor_by_id[doctor].choice
+    if isinstance(rule, TableDoctor):
+        own = market.doctor_contracts[doctor]
+        for given, chosen in rule.table.items():
+            # any other row is left to ``choose``, read through evaluate_doctor
+            if chosen <= given <= own:
+                C[sum(map(bit.__getitem__, given))] = sum(map(bit.__getitem__, chosen))
+    if len(C) == 1 << n and not sampled_sweeps(n, limits)[0]:
+        C = [C[m] for m in range(1 << n)]  # list indexing beats dict lookup
     distinct_ok = _Memo(
         lambda c: len({h for i, h in enumerate(hospital_of) if c >> i & 1}) == c.bit_count()
     )
@@ -259,22 +296,24 @@ def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict[st
         if len(found) == 4:
             break
 
-    # Path independence.  A row with C(a) == a cannot fail, and when
+    # Path independence.  The pairs are scanned only for the witness of a
+    # failed decision.  A row with C(a) == a cannot fail, and when
     # C(a) <= a, (a, b) compares the same two choices as (a, b - C(a)),
     # which comes no later.
     if not sampled_sweeps(n, limits)[1]:
         full = range(1 << n)
-        table = [C[m] for m in full]  # list indexing beats dict lookup here
-        free = _Memo(lambda ca: [b for b in full if not b & ca])
-        for a in full:
-            ca = table[a]
-            if ca == a:
-                continue
-            bs = full if ca & ~a else free[ca]
-            b = next((b for b in bs if table[a | b] != table[ca | b]), None)
-            if b is not None:
-                found["path-independence"] = (a, b)
-                break
+        table = [C[m] for m in full]
+        if not _path_independent(table):
+            free = _Memo(lambda ca: [b for b in full if not b & ca])
+            for a in full:
+                ca = table[a]
+                if ca == a:
+                    continue
+                bs = full if ca & ~a else free[ca]
+                b = next((b for b in bs if table[a | b] != table[ca | b]), None)
+                if b is not None:
+                    found["path-independence"] = (a, b)
+                    break
     else:
         rng = random.Random(f"axiom-check-pairs:{doctor}:{n}")
         for _ in range(limits.samples):

@@ -69,10 +69,22 @@ def _expect(doc: dict, key: str, kind, where: str):
     return value
 
 
+_is_str = str.__instancecheck__
+
+
 def _id_list(value, where: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    if not isinstance(value, list) or not all(map(_is_str, value)):
         raise ParseError(f"{where} must be a list of contract ids")
     return tuple(value)
+
+
+def _table_row(row, rw: str) -> tuple[frozenset, frozenset]:
+    """One checked table row as (given, chosen); ``rw`` names it in errors."""
+    if not isinstance(row, dict):
+        raise ParseError(f"{rw} must be an object")
+    given = frozenset(_id_list(_expect(row, "given", list, rw), f"{rw}.given"))
+    chosen = frozenset(_id_list(_expect(row, "chosen", list, rw), f"{rw}.chosen"))
+    return given, chosen
 
 
 def market_from_json(doc) -> Market:
@@ -119,13 +131,19 @@ def market_from_json(doc) -> Market:
             rows = _expect(entry, "table", list, where)
             table: dict[frozenset, frozenset] = {}
             for j, row in enumerate(rows):
-                rw = f"{where}.table[{j}]"
-                if not isinstance(row, dict):
-                    raise ParseError(f"{rw} must be an object")
-                given = frozenset(_id_list(_expect(row, "given", list, rw), f"{rw}.given"))
-                chosen = frozenset(_id_list(_expect(row, "chosen", list, rw), f"{rw}.chosen"))
+                # the shape test of _table_row, without naming the row
+                if (
+                    isinstance(row, dict)
+                    and isinstance(given := row.get("given"), list)
+                    and isinstance(chosen := row.get("chosen"), list)
+                    and all(map(_is_str, given))
+                    and all(map(_is_str, chosen))
+                ):
+                    given, chosen = frozenset(given), frozenset(chosen)
+                else:  # raises the row's first error
+                    given, chosen = _table_row(row, f"{where}.table[{j}]")
                 if given in table:
-                    raise ParseError(f"{rw} repeats the subset {sorted(given)}")
+                    raise ParseError(f"{where}.table[{j}] repeats the subset {sorted(given)}")
                 table[given] = chosen
             rule = TableDoctor(table=table)
         else:

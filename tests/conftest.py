@@ -28,6 +28,10 @@ RESPONSIVE_PATH = Path(__file__).resolve().parent / "responsive_demo.market.json
 # axiom_fatal: one table doctor whose complementary rule breaks
 # substitutability, consistency and path independence.
 AXIOM_FATAL_PATH = Path(__file__).resolve().parent / "axiom_fatal.market.json"
+# pi_pair: one table doctor over c0-c2 choosing nothing but {c0} from all
+# three, so the first path-independence witness is ({c0}, {c1, c2}),
+# whose second subset has two contracts.
+PI_PAIR_PATH = Path(__file__).resolve().parent / "pi_pair.market.json"
 
 # no_lad_demo: two table doctors, three quota-1 hospitals.  Doctor d2
 # drops from two signed contracts to one when x23 shows up, breaking the

@@ -267,6 +267,44 @@ def test_checkers_match_first_witness_oracle(m, limits):
         assert out.witness is None or out.witness.prop == prop
 
 
+def _mask_table_market(table: list[int]) -> Market:
+    """One table doctor over c0..c(n-1), C(subset of mask a) = subset of table[a]."""
+    ids = [f"c{i}" for i in range(len(table).bit_length() - 1)]
+
+    def subset(mask: int) -> frozenset:
+        return frozenset(c for i, c in enumerate(ids) if mask >> i & 1)
+
+    rows = {subset(a): subset(c) for a, c in enumerate(table) if a}
+    return one_doctor_market([(c, f"h{c}") for c in ids], TableDoctor(table=rows))
+
+
+@st.composite
+def mask_tables(draw):
+    """C(mask) for every mask over n <= 4 contracts, with C(0) == 0.
+
+    Either arbitrary, rows outside their subset included, or the path
+    independent C(a) = a & K with a few rows replaced.
+    """
+    n = draw(st.integers(min_value=0, max_value=4), label="contracts")
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    if draw(st.booleans(), label="arbitrary"):
+        return [0] + draw(st.lists(masks, min_size=(1 << n) - 1, max_size=(1 << n) - 1), label="rows")
+    keep = draw(masks, label="K")
+    table = [a & keep for a in range(1 << n)]
+    for a in draw(st.lists(masks.filter(bool), max_size=2), label="replaced rows"):
+        table[a] = draw(masks, label="row")
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@example([0, 0, 0, 0, 0, 0, 0, 1])  # tests/pi_pair.market.json
+@example([0, 0, 2, 2, 0, 0, 2, 2])  # C(a) = a & {c1}
+@given(mask_tables())
+def test_single_additions_decide_path_independence(table):
+    want = naive_axiom_verdict(_mask_table_market(table), "d", "path-independence")
+    assert choice._path_independent(table) == want
+
+
 CONTRACTS_10 = [(f"c{i}", f"h{i % 4}") for i in range(10)]
 QUOTA_RULE_10 = ResponsiveDoctor(quota=2, ranking=tuple(c for c, _ in CONTRACTS_10))
 
@@ -285,14 +323,13 @@ def evaluate_calls(monkeypatch) -> Counter:
     return calls
 
 
-def test_validation_evaluates_each_subset_once(evaluate_calls):
+def test_validation_reads_table_rows_without_evaluating(evaluate_calls):
     rule = one_doctor_market(CONTRACTS_10, QUOTA_RULE_10)
     table = {S: doctor_choose(rule, "d", S) for S in subsets_of(c for c, _ in CONTRACTS_10) if S}
     m = one_doctor_market(CONTRACTS_10, TableDoctor(table=table))
     evaluate_calls.clear()  # tabulating evaluated the rule once per subset
     assert validate_market(m).ok
-    assert len(evaluate_calls) == 2**10 - 1  # exhaustive: every nonempty subset
-    assert max(evaluate_calls.values()) == 1
+    assert not evaluate_calls  # the sweep reads every row straight off the table
     assert not m._choice_cache  # validation leaves the choice memo alone
 
 

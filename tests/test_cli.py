@@ -18,7 +18,7 @@ import pytest
 
 from envylattice import GenParams, cli, generate_responsive_market, serialize
 
-from conftest import AXIOM_FATAL_PATH, LATTICE_PATH, NO_LAD_PATH, RESPONSIVE_PATH
+from conftest import AXIOM_FATAL_PATH, LATTICE_PATH, NO_LAD_PATH, PI_PAIR_PATH, RESPONSIVE_PATH
 
 
 def run_cli(*args, env_extra=None):
@@ -502,6 +502,7 @@ DOUBLE_RUNS = [
     pytest.param(("validate", str(RESPONSIVE_PATH)), id="validate-responsive"),
     pytest.param(("verify-lad", str(RESPONSIVE_PATH), "--from", ""), id="verify-lad-responsive"),
     pytest.param(("validate", str(AXIOM_FATAL_PATH)), id="validate-axiom-fatal"),
+    pytest.param(("validate", str(PI_PAIR_PATH)), id="validate-pi-pair"),
     *(
         pytest.param(
             ("enumerate", str(LATTICE_PATH), "--class", kind, "--count-only"),

@@ -92,8 +92,42 @@ def test_parse_errors():
 def test_duplicate_table_row_rejected():
     doc = json.loads(NO_LAD_PATH.read_text())
     doc["doctors"][0]["table"].append(dict(doc["doctors"][0]["table"][0]))
-    with pytest.raises(ParseError, match="repeats"):
+    with pytest.raises(ParseError) as excinfo:
         market_from_json(doc)
+    assert str(excinfo.value) == "doctors[0].table[7] repeats the subset ['x11']"
+
+
+def _drop(key):
+    return lambda row: row.pop(key)
+
+
+def _put(key, value):
+    return lambda row: row.__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (None, "doctors[1].table[2] must be an object"),
+        (_drop("given"), "doctors[1].table[2] is missing key 'given'"),
+        (_drop("chosen"), "doctors[1].table[2] is missing key 'chosen'"),
+        (_put("given", {"x21": 1}), "doctors[1].table[2].given has the wrong type, expected list"),
+        (_put("chosen", "x21"), "doctors[1].table[2].chosen has the wrong type, expected list"),
+        (_put("given", ["x21", 7]), "doctors[1].table[2].given must be a list of contract ids"),
+        (_put("chosen", [None]), "doctors[1].table[2].chosen must be a list of contract ids"),
+    ],
+)
+def test_table_row_errors_are_pinned(spoil, message):
+    doc = json.loads(NO_LAD_PATH.read_text())
+    rows = doc["doctors"][1]["table"]
+    if spoil is None:
+        rows[2] = ["x21"]
+    else:
+        spoil(rows[2])
+    rows[3]["given"] = [0]  # a later bad row: the first one is reported
+    with pytest.raises(ParseError) as excinfo:
+        market_from_json(doc)
+    assert str(excinfo.value) == message
 
 
 def test_wrong_types_rejected():
