@@ -31,23 +31,25 @@ once; everything below them is unchecked.
 
 Every condition above is local: IR is a condition on each doctor's part
 Y_d and each hospital's load, and a justified-envy witness involves one
-hospital and two doctors' parts.  ``enumerate_allocations`` exploits
-this with one depth-first search over the doctors that fixes one IR part
-per doctor and settles each witness as soon as both of its doctors are
-fixed.  The allocation axioms are rules about one hospital, so
+hospital and two doctors' parts.  ``_diagram`` exploits this with one
+depth-first search over the doctors that fixes one IR part per doctor
+and settles each witness as soon as both of its doctors are fixed.  The
+search is memoized on the frontier, the hospitals that a later doctor
+can still hold or desire (frontier-based search, Kawahara et al. 2017;
+Minato 1993), so it builds a decision diagram whose nodes keep their
+leaf count and their edges to children with a nonzero count.
+``count_allocations`` reads the count at the root, and
+``enumerate_allocations`` walks the edges, entering only subtrees that
+end in a leaf.
+
+The allocation axioms are rules about one hospital, so
 ``all_allocations`` lists every allocation, for the plain
 ``allocation`` class, by a depth-first search over the hospitals that
 takes one option per hospital: a subset of its contracts with at most
-one per doctor and at most quota many.  Each search asserts the
-restriction accounting identity once, on the contracts its leaves are
-drawn from, and so on every leaf.
-
-``count_allocations`` gives the size of each class without listing it.
-The ``allocation`` count is a closed form over the hospitals.  The
-other classes count the leaves of the doctor search, memoized on the
-frontier, the hospitals that a later doctor can still hold or desire
-(frontier-based search, Kawahara et al. 2017); each count checks the
-cap and asserts the accounting identity once, as the listing does.
+one per doctor and at most quota many, and its count is a closed form
+over the hospitals.  Each search and count checks the cap and asserts
+the restriction accounting identity once, on the contracts its leaves
+are drawn from, and so on every leaf.
 """
 
 from __future__ import annotations
@@ -220,10 +222,11 @@ def classify(market: Market, Y) -> ClassificationReport:
 def _check_cap(market: Market) -> None:
     """Refuse a market above the enumeration cap: ENVYLATTICE_ENUM_CAP, else 22.
 
-    The first statement of both searches, ``all_allocations`` and
-    ``_search``, and the one reader of the environment variable.  A set
-    variable must hold an integer (``int`` syntax, so surrounding blanks
-    are fine); anything else, the empty string included, is a refusal.
+    Run before any work by ``all_allocations``, ``_levels`` and the
+    ``allocation`` count, and the one reader of the environment
+    variable.  A set variable must hold an integer (``int`` syntax, so
+    surrounding blanks are fine); anything else, the empty string
+    included, is a refusal.
     """
     env = os.environ.get(ENUM_CAP_ENV)
     try:
@@ -342,9 +345,11 @@ def _levels(market: Market, below=()) -> list[list[_Part]]:
     return levels
 
 
-def _search(market: Market, kind: str, below=()) -> list[tuple[frozenset, bool]]:
-    """IR, envy-free or stable allocations by a DFS over doctors, each
-    paired with whether it is stable, sorted by ``canon`` of the allocation.
+def _diagram(market: Market, kind: str, below=()) -> tuple[dict, tuple]:
+    """The doctor search of the IR, envy-free or stable class as a
+    memoized diagram: a dict mapping each node key to its leaf count and
+    its edges ``(part contracts, child key)`` to children with a nonzero
+    count, and the root key.
 
     Doctors are fixed in sorted id order, each to one of its IR parts,
     and a part that would put a hospital above quota is skipped.  Parts
@@ -353,28 +358,43 @@ def _search(market: Market, kind: str, below=()) -> list[tuple[frozenset, bool]]
     hospital the search keeps the worst held rank and the best desired
     rank over the doctors fixed so far.  A desired rank better than a
     held rank is exactly a justified-envy witness, and fixing more
-    doctors can only add witnesses, so the subtree is pruned.  An
-    envy-free leaf is stable unless some hospital below quota is
-    desired: at quota, a blocking contract would beat the worst rank
-    held there and so be a witness.  This needs no choice axiom.  The
-    flag is computed only when envy is pruned, so every ``ir`` leaf is
-    flagged False; ``stable`` keeps only the flagged leaves.
+    doctors can only add witnesses, so the branch is cut.
+
+    The frontier at a level is the hospitals that some part at that
+    level or a later one holds or desires; the others are settled, and
+    passed their envy test when last touched.  So the subtree below a
+    node depends only on its level, the load, worst held rank and best
+    desired rank of each frontier hospital, and one bit: whether some
+    settled hospital is below quota and desired.  An envy-free leaf is
+    stable exactly when that bit is clear: at quota, a blocking contract
+    would beat the worst rank held there and so be a witness.  This
+    needs no choice axiom.  ``stable`` counts only the leaves with the
+    bit clear; ``ir`` runs no envy test and keys on the loads alone.
     """
     levels = _levels(market, below)
     hospitals = market.hospitals
-    n = len(hospitals)
     quota = [h.quota for h in hospitals]
     none = max((len(h.ranking) for h in hospitals), default=0)  # beyond every rank
     envy = kind != "ir"
-    chosen: list[frozenset] = []
-    out: list[tuple[frozenset, bool]] = []
+    frontier = [()]
+    for parts in reversed(levels):
+        touched = {h for p in parts for h, _ in p.held + p.desired}
+        frontier.append(tuple(sorted(touched.union(frontier[-1]))))
+    frontier.reverse()
+    settling = [set(f).difference(g) for f, g in zip(frontier, frontier[1:])]
+    memo: dict[tuple, tuple[int, list]] = {}
 
-    def walk(level: int, load: list[int], worst: list[int], best: list[int]):
+    def walk(level: int, load: list[int], worst: list[int], best: list[int], closed: bool) -> tuple:
+        if envy:
+            key = (level, closed, *[(load[h], worst[h], best[h]) for h in frontier[level]])
+        else:  # no envy test: the loads decide
+            key = (level, *[load[h] for h in frontier[level]])
+        if key in memo:
+            return key
         if level == len(levels):
-            stable = envy and not any(load[h] < quota[h] and best[h] < none for h in range(n))
-            if stable or kind != "stable":
-                out.append((frozenset().union(*chosen), stable))
-            return
+            memo[key] = (0 if closed and kind == "stable" else 1, [])
+            return key
+        total, edges = 0, []
         for part in levels[level]:
             nload, nworst, nbest = load[:], worst[:], best[:]
             for h, r in part.held:
@@ -386,16 +406,44 @@ def _search(market: Market, kind: str, below=()) -> list[tuple[frozenset, bool]]
                 nbest[h] = min(nbest[h], r)
             if envy and any(map(lt, nbest, nworst)):
                 continue
-            chosen.append(part.contracts)
-            walk(level + 1, nload, nworst, nbest)
-            chosen.pop()
+            child = walk(level + 1, nload, nworst, nbest, closed or envy and any(
+                nload[h] < quota[h] and nbest[h] < none for h in settling[level]
+            ))
+            count = memo[child][0]
+            if count:
+                total += count
+                edges.append((part.contracts, child))
+        memo[key] = (total, edges)
+        return key
 
+    n = len(hospitals)
     try:
-        walk(0, [0] * n, [-1] * n, [none] * n)
+        return memo, walk(0, [0] * n, [-1] * n, [none] * n, False)
     except RecursionError:
         raise EnumerationCapError(
             f"enumeration search is {len(levels)} levels deep, past the recursion limit"
         ) from None
+
+
+def _search(market: Market, kind: str, below=()) -> list[tuple[frozenset, bool]]:
+    """The leaves of ``_diagram(market, kind, below)``, each paired with
+    whether it is stable, sorted by ``canon`` of the allocation.
+
+    The walk follows only edges to children with a nonzero count, so
+    every branch it enters ends in a leaf.  Every ``ir`` leaf is flagged
+    False, since its search runs no envy test.
+    """
+    memo, root = _diagram(market, kind, below)
+    envy = kind != "ir"
+    out: list[tuple[frozenset, bool]] = []
+    stack = [(root, frozenset())] if memo[root][0] else []
+    while stack:
+        key, Y = stack.pop()
+        edges = memo[key][1]
+        if edges:
+            stack += [(child, Y | S) for S, child in edges]
+        else:  # a leaf; with the envy test on, key[1] is its settled bit
+            out.append((Y, envy and not key[1]))
     out.sort(key=lambda leaf: canon(leaf[0]))
     return out
 
@@ -404,13 +452,13 @@ def enumerate_allocations(market: Market, kind: str = "allocation") -> list[froz
     """All allocations of the requested solution class, canonically sorted.
 
     ``allocation`` lists every allocation (``all_allocations``).  The
-    other classes come from one pruned DFS over the doctors in sorted id
-    order: each doctor takes one of its IR parts, hospital loads are
-    pruned against quota, and for ``envy-free`` and ``stable`` a branch
-    is cut as soon as two fixed doctors form a justified-envy witness.
-    The work then follows the size of the class returned, not the number
-    of allocations.  Each search checks the contract-count cap before
-    any work.
+    other classes are the leaves of ``_diagram``, the doctor search in
+    sorted id order: each doctor takes one of its IR parts, hospital
+    loads are pruned against quota, and for ``envy-free`` and ``stable``
+    a branch is cut as soon as two fixed doctors form a justified-envy
+    witness.  The work then follows the size of the class returned, not
+    the number of allocations.  Each search checks the contract-count
+    cap before any work.
     """
     if kind not in CLASSES:
         raise MarketError(f"unknown class {kind!r}, expected one of {CLASSES}")
@@ -427,12 +475,13 @@ def count_allocations(market: Market, kind: str = "allocation") -> int:
     independently, and a hospital whose contracts name doctors with
     n_1, n_2, ... contracts each has, summed over k up to its quota, the
     k-th elementary symmetric sum of the n_i as options.  The other
-    classes count the leaves of ``_search``'s tree with ``_count``.
+    classes read the leaf count at the root of ``_diagram``.
     """
     if kind not in CLASSES:
         raise MarketError(f"unknown class {kind!r}, expected one of {CLASSES}")
     if kind != "allocation":
-        return _count(market, kind)
+        memo, root = _diagram(market, kind)
+        return memo[root][0]
     _check_cap(market)
     _balanced(market, frozenset(c.id for c in market.contracts))
     doctor_of = {c.id: c.doctor for c in market.contracts}
@@ -445,66 +494,3 @@ def count_allocations(market: Market, kind: str = "allocation") -> int:
         total *= sum(sums)
     return total
 
-
-def _count(market: Market, kind: str) -> int:
-    """The number of leaves ``_search(market, kind)`` lists, by the same
-    DFS memoized on the frontier.
-
-    The frontier at a level is the hospitals that some part at that
-    level or a later one holds or desires; the others are settled, and
-    passed their envy test when last touched.  So the subtree below a
-    node depends only on its level and on the load, worst held rank and
-    best desired rank of each frontier hospital, and, for ``stable``, on
-    one bit: whether some settled hospital is below quota and desired,
-    which makes no leaf below stable.  The recursion is ``_search``'s,
-    one frame per level, and so is its refusal past the recursion limit.
-    """
-    levels = _levels(market)
-    hospitals = market.hospitals
-    quota = [h.quota for h in hospitals]
-    none = max((len(h.ranking) for h in hospitals), default=0)  # beyond every rank
-    envy = kind != "ir"
-    stable = kind == "stable"
-    frontier = [()]
-    for parts in reversed(levels):
-        touched = {h for p in parts for h, _ in p.held + p.desired}
-        frontier.append(tuple(sorted(touched.union(frontier[-1]))))
-    frontier.reverse()
-    settling = [set(f).difference(g) for f, g in zip(frontier, frontier[1:])]
-    memo: dict[tuple, int] = {}
-
-    def walk(level: int, load: list[int], worst: list[int], best: list[int], closed: bool) -> int:
-        if level == len(levels):
-            return 0 if closed else 1
-        if envy:
-            key = (level, closed, *[(load[h], worst[h], best[h]) for h in frontier[level]])
-        else:  # no envy test: the loads decide
-            key = (level, *[load[h] for h in frontier[level]])
-        total = memo.get(key)
-        if total is not None:
-            return total
-        total = 0
-        for part in levels[level]:  # the step of _search's walk
-            nload, nworst, nbest = load[:], worst[:], best[:]
-            for h, r in part.held:
-                nload[h] += 1
-                nworst[h] = max(nworst[h], r)
-            if any(nload[h] > quota[h] for h, _ in part.held):
-                continue
-            for h, r in part.desired:
-                nbest[h] = min(nbest[h], r)
-            if envy and any(map(lt, nbest, nworst)):
-                continue
-            total += walk(level + 1, nload, nworst, nbest, closed or (stable and any(
-                nload[h] < quota[h] and nbest[h] < none for h in settling[level]
-            )))
-        memo[key] = total
-        return total
-
-    n = len(hospitals)
-    try:
-        return walk(0, [0] * n, [-1] * n, [none] * n, False)
-    except RecursionError:
-        raise EnumerationCapError(
-            f"enumeration search is {len(levels)} levels deep, past the recursion limit"
-        ) from None

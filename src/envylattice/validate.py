@@ -90,17 +90,18 @@ def _structural(market: Market) -> list[ValidationEntry]:
         own = market.doctor_contracts[d.id]
         rule = d.choice
         if isinstance(rule, TableDoctor):
-            rows = rule.table
-            for given, chosen in rows.items():
+            usable = 0
+            for given, chosen in rule.table.items():
                 if not given:
                     flag(d.id, "doctor", f"doctor {d.id} has a table row for the empty set")
-                if not given <= own:
+                elif not given <= own:
                     extra = sorted(given - own)
                     flag(d.id, "doctor", f"doctor {d.id} table row {sorted(given)} uses foreign ids {extra}")
+                else:
+                    usable += 1
                 if not chosen <= given:
                     flag(d.id, "doctor", f"doctor {d.id} table row {sorted(given)} chooses outside the row: {sorted(chosen - given)}")
             want = (1 << len(own)) - 1
-            usable = sum(1 for g in rows if g and g <= own)
             if usable != want:
                 flag(d.id, "doctor", f"doctor {d.id} table has {usable} valid rows, needs {want} (one per nonempty subset)")
         else:

@@ -76,8 +76,12 @@ def test_allocation_count_matches_the_closed_form(no_lad, lattice_demo):
 @settings(max_examples=200, deadline=None)
 @given(small_markets())
 def test_counts_equal_the_listings_on_random_markets(market):
+    # counts and listings come from one diagram, so both are also held
+    # to the subset filter, on axiom-broken draws as well
     for kind in ("allocation", "ir", "envy-free", "stable"):
-        assert count_allocations(market, kind) == len(enumerate_allocations(market, kind)), kind
+        count = count_allocations(market, kind)
+        assert count == len(enumerate_allocations(market, kind)), kind
+        assert count == len(powerset_allocations(market, kind)), kind
 
 
 def test_counts_equal_the_listings_on_generated_markets(no_lad, lattice_demo):
@@ -167,6 +171,20 @@ def test_accounting_identity_runs_once_per_enumeration(lattice_demo, baseline_x2
 def test_counts_of_the_baseline(baseline_x22):
     counts = {kind: count_allocations(baseline_x22, kind) for kind in classify_module.CLASSES}
     assert counts == {"allocation": 280800, "ir": 5832, "envy-free": 328, "stable": 1}
+
+
+def test_diagram_of_the_baseline(baseline_x22):
+    # node counts recorded when listing and counting became one diagram;
+    # a change means the frontier key or the level order changed
+    nodes = {}
+    for kind in ("ir", "envy-free", "stable"):
+        memo, _ = classify_module._diagram(baseline_x22, kind)
+        nodes[kind] = len(memo)
+        # every stored edge is live: the listing never enters a dead branch
+        for count, edges in memo.values():
+            assert all(memo[child][0] for _, child in edges), kind
+            assert not edges or count == sum(memo[child][0] for _, child in edges), kind
+    assert nodes == {"ir": 146, "envy-free": 157, "stable": 157}
 
 
 def test_accounting_identity_still_refuses_unknown_doctors():
