@@ -234,28 +234,20 @@ def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict[st
     Subsets of X_d are bitmasks over the sorted contract order.  A table
     doctor's rows are read into the mask table in one pass; any other
     subset is evaluated at most once, when first read.  One sweep over
-    the masks checks distinct hospitals, substitutability, consistency
-    and LAD together; path independence then reads the same table.  The
-    witness of each property is its first violation in the order masks
-    ascending, then removed bit ascending, or pairs (a, b) with a major
-    for path independence.
+    all the masks checks distinct hospitals, substitutability,
+    consistency and LAD together, whether they fail or not; path
+    independence is decided on the same table (``_path_independent``).
+    The witness of each property is its first violation by definition:
+    masks ascending, then removed bit ascending, or pairs (a, b) with a
+    major for path independence.
     """
     contracts = canon(market.doctor_contracts[doctor])
     n = len(contracts)
     bit = {cid: 1 << i for i, cid in enumerate(contracts)}
     hospital_of = [market.contract_by_id[cid].hospital for cid in contracts]
-    # the ids of a mask are concatenated from per-byte lookup tables
-    byte_ids = [
-        [tuple(c for i, c in enumerate(contracts[lo:lo + 8]) if v >> i & 1)
-         for v in range(1 << min(8, n - lo))]
-        for lo in range(0, n, 8)
-    ]
 
     def ids(mask: int) -> tuple[str, ...]:
-        out: tuple[str, ...] = ()
-        for table in byte_ids:
-            out, mask = out + table[mask & 255], mask >> 8
-        return out
+        return tuple(c for i, c in enumerate(contracts) if mask >> i & 1)
 
     def choose(mask: int) -> int:
         chosen = evaluate_doctor(market, doctor, frozenset(ids(mask))) if mask else ()
@@ -293,27 +285,17 @@ def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict[st
                 found["consistency"] = (m, m ^ low)
             if s.bit_count() > c.bit_count() and "lad" not in found:
                 found["lad"] = (m, m ^ low)
-        if len(found) == 4:
-            break
 
     # Path independence.  The pairs are scanned only for the witness of a
-    # failed decision.  A row with C(a) == a cannot fail, and when
-    # C(a) <= a, (a, b) compares the same two choices as (a, b - C(a)),
-    # which comes no later.
+    # failed decision, which is itself a failing pair (b empty or one
+    # contract), so the scan always finds one.
     if not sampled_sweeps(n, limits)[1]:
         full = range(1 << n)
         table = [C[m] for m in full]
         if not _path_independent(table):
-            free = _Memo(lambda ca: [b for b in full if not b & ca])
-            for a in full:
-                ca = table[a]
-                if ca == a:
-                    continue
-                bs = full if ca & ~a else free[ca]
-                b = next((b for b in bs if table[a | b] != table[ca | b]), None)
-                if b is not None:
-                    found["path-independence"] = (a, b)
-                    break
+            found["path-independence"] = next(
+                (a, b) for a in full for b in full if table[a | b] != table[table[a] | b]
+            )
     else:
         rng = random.Random(f"axiom-check-pairs:{doctor}:{n}")
         for _ in range(limits.samples):
@@ -332,6 +314,8 @@ def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict[st
 
 def _entry(market: Market, doctor: str, limits: ValidationLimits, prop: str) -> ValidationEntry:
     """One axiom's entry, from a sweep made once per (doctor, limits)."""
+    if doctor not in market.doctor_by_id:
+        raise UnknownIdError(f"unknown doctor id: {doctor!r}")
     key = (doctor, limits)
     if key not in market._axiom_cache:
         market._axiom_cache[key] = _check_all(market, doctor, limits)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
+from typing import NoReturn
 
 from .choice import PropertyWitness
 from .classify import ClassificationReport, EnvyWitness
@@ -78,13 +79,13 @@ def _id_list(value, where: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _table_row(row, rw: str) -> tuple[frozenset, frozenset]:
-    """One checked table row as (given, chosen); ``rw`` names it in errors."""
+def _raise_row_error(row, rw: str) -> NoReturn:
+    """Raise the first error of table row ``rw``, which failed the shape test."""
     if not isinstance(row, dict):
         raise ParseError(f"{rw} must be an object")
-    given = frozenset(_id_list(_expect(row, "given", list, rw), f"{rw}.given"))
-    chosen = frozenset(_id_list(_expect(row, "chosen", list, rw), f"{rw}.chosen"))
-    return given, chosen
+    _id_list(_expect(row, "given", list, rw), f"{rw}.given")
+    _expect(row, "chosen", list, rw)
+    raise ParseError(f"{rw}.chosen must be a list of contract ids")  # the one fault left
 
 
 def market_from_json(doc) -> Market:
@@ -131,17 +132,16 @@ def market_from_json(doc) -> Market:
             rows = _expect(entry, "table", list, where)
             table: dict[frozenset, frozenset] = {}
             for j, row in enumerate(rows):
-                # the shape test of _table_row, without naming the row
-                if (
+                # the shape test; _raise_row_error names the row's first error
+                if not (
                     isinstance(row, dict)
                     and isinstance(given := row.get("given"), list)
                     and isinstance(chosen := row.get("chosen"), list)
                     and all(map(_is_str, given))
                     and all(map(_is_str, chosen))
                 ):
-                    given, chosen = frozenset(given), frozenset(chosen)
-                else:  # raises the row's first error
-                    given, chosen = _table_row(row, f"{where}.table[{j}]")
+                    _raise_row_error(row, f"{where}.table[{j}]")
+                given, chosen = frozenset(given), frozenset(chosen)
                 if given in table:
                     raise ParseError(f"{where}.table[{j}] repeats the subset {sorted(given)}")
                 table[given] = chosen

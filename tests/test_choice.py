@@ -96,6 +96,9 @@ def test_unknown_agent(no_lad):
         doctor_choose(no_lad, "d9", {"x11"})
     with pytest.raises(UnknownIdError):
         hospital_choose(no_lad, "h9", {"x11"})
+    for check in CHECKERS.values():
+        with pytest.raises(UnknownIdError, match="^unknown doctor id: 'nobody'$"):
+            check(no_lad, "nobody")
 
 
 def test_partial_table_is_a_hard_fault():
@@ -307,6 +310,39 @@ def test_single_additions_decide_path_independence(table):
 
 CONTRACTS_10 = [(f"c{i}", f"h{i % 4}") for i in range(10)]
 QUOTA_RULE_10 = ResponsiveDoctor(quota=2, ranking=tuple(c for c, _ in CONTRACTS_10))
+
+
+def replaced_rows_market(n: int, seed: int) -> Market:
+    """QUOTA_RULE_10 tabulated on c0..c(n-1) with one to three rows replaced.
+
+    Odd seeds choose each new row inside its own subset, even seeds from
+    all the doctor's contracts.
+    """
+    rng = random.Random(f"replaced-rows:{n}:{seed}")
+    contracts = CONTRACTS_10[:n]
+    ids = [c for c, _ in contracts]
+    rule = one_doctor_market(contracts, QUOTA_RULE_10)
+    table = {S: doctor_choose(rule, "d", S) for S in subsets_of(ids) if S}
+    for S in rng.sample(sorted(table, key=sorted), rng.randint(1, 3)):
+        pool = sorted(S) if seed % 2 else ids
+        table[S] = frozenset(c for c in pool if rng.random() < 0.4)
+    return one_doctor_market(contracts, TableDoctor(table=table))
+
+
+def test_checkers_match_first_witness_oracle_past_one_byte():
+    # masks of 9 and 10 contracts span two bytes
+    failed = []
+    for n, seed in itertools.product((9, 10), range(4)):
+        m = replaced_rows_market(n, seed)
+        outs = {prop: CHECKERS[prop](m, "d") for prop in PROPERTIES}
+        for prop, out in outs.items():
+            witness = None if out.witness is None else (out.witness.subsets, out.witness.choices)
+            want = first_witness_oracle(m, "d", prop, DEFAULT_LIMITS)
+            assert (out.passed, out.sampled, witness) == want, (n, seed, prop)
+        failed.append({prop for prop, out in outs.items() if not out.passed})
+    removal = {"distinct-hospitals", "substitutability", "consistency", "lad"}
+    assert any(removal <= props for props in failed)  # every removal property fails
+    assert any("path-independence" in props for props in failed)
 
 
 @pytest.fixture
