@@ -250,7 +250,13 @@ def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict[st
         return tuple(c for i, c in enumerate(contracts) if mask >> i & 1)
 
     def choose(mask: int) -> int:
-        chosen = evaluate_doctor(market, doctor, frozenset(ids(mask))) if mask else ()
+        given = frozenset(ids(mask))
+        chosen = evaluate_doctor(market, doctor, given) if mask else frozenset()
+        if not chosen <= bit.keys():
+            raise InvariantViolation(
+                f"choice table for doctor {doctor} chooses {canon(chosen)} from {canon(given)}, "
+                "outside the doctor's contracts"
+            )
         return sum(map(bit.__getitem__, chosen))
 
     C = _Memo(choose)

@@ -37,8 +37,8 @@ and settles each witness as soon as both of its doctors are fixed.  The
 search is memoized on the frontier, the hospitals that a later doctor
 can still hold or desire (frontier-based search, Kawahara et al. 2017;
 Minato 1993), so it builds a decision diagram whose nodes keep their
-leaf count and their edges to children with a nonzero count.
-``count_allocations`` reads the count at the root, and
+leaf count, their stable leaf count and their edges to children with a
+nonzero count.  ``count_allocations`` reads a count at the root, and
 ``enumerate_allocations`` walks the edges, entering only subtrees that
 end in a leaf.
 
@@ -345,11 +345,11 @@ def _levels(market: Market, below=()) -> list[list[_Part]]:
     return levels
 
 
-def _diagram(market: Market, kind: str, below=()) -> tuple[dict, tuple]:
-    """The doctor search of the IR, envy-free or stable class as a
-    memoized diagram: a dict mapping each node key to its leaf count and
-    its edges ``(part contracts, child key)`` to children with a nonzero
-    count, and the root key.
+def _diagram(market: Market, envy: bool, below=()) -> tuple[dict, tuple]:
+    """The doctor search of the IR class, or with ``envy`` of the
+    envy-free class, as a memoized diagram: a dict mapping each node key
+    to its leaf count, stable leaf count and edges ``(part contracts,
+    child key, opens)`` to children with a nonzero leaf count, and the root key.
 
     Doctors are fixed in sorted id order, each to one of its IR parts,
     and a part that would put a hospital above quota is skipped.  Parts
@@ -363,38 +363,37 @@ def _diagram(market: Market, kind: str, below=()) -> tuple[dict, tuple]:
     The frontier at a level is the hospitals that some part at that
     level or a later one holds or desires; the others are settled, and
     passed their envy test when last touched.  So the subtree below a
-    node depends only on its level, the load, worst held rank and best
-    desired rank of each frontier hospital, and one bit: whether some
-    settled hospital is below quota and desired.  An envy-free leaf is
-    stable exactly when that bit is clear: at quota, a blocking contract
-    would beat the worst rank held there and so be a witness.  This
-    needs no choice axiom.  ``stable`` counts only the leaves with the
-    bit clear; ``ir`` runs no envy test and keys on the loads alone.
+    node depends only on its level and the load, worst held rank and
+    best desired rank of each frontier hospital (without ``envy``, the
+    loads alone).  An edge opens when its part settles a hospital below
+    quota and desired.  An envy-free leaf is stable exactly when no edge
+    on its path opens: at quota, a blocking contract would beat the worst
+    rank held there and so be a witness, with no choice axiom.  A node's
+    stable count sums its children's over the edges that do not open.
     """
     levels = _levels(market, below)
     hospitals = market.hospitals
     quota = [h.quota for h in hospitals]
     none = max((len(h.ranking) for h in hospitals), default=0)  # beyond every rank
-    envy = kind != "ir"
     frontier = [()]
     for parts in reversed(levels):
         touched = {h for p in parts for h, _ in p.held + p.desired}
         frontier.append(tuple(sorted(touched.union(frontier[-1]))))
     frontier.reverse()
     settling = [set(f).difference(g) for f, g in zip(frontier, frontier[1:])]
-    memo: dict[tuple, tuple[int, list]] = {}
+    memo: dict[tuple, tuple[int, int, list]] = {}
 
-    def walk(level: int, load: list[int], worst: list[int], best: list[int], closed: bool) -> tuple:
+    def walk(level: int, load: list[int], worst: list[int], best: list[int]) -> tuple:
         if envy:
-            key = (level, closed, *[(load[h], worst[h], best[h]) for h in frontier[level]])
+            key = (level, *[(load[h], worst[h], best[h]) for h in frontier[level]])
         else:  # no envy test: the loads decide
             key = (level, *[load[h] for h in frontier[level]])
         if key in memo:
             return key
         if level == len(levels):
-            memo[key] = (0 if closed and kind == "stable" else 1, [])
+            memo[key] = (1, 1, [])
             return key
-        total, edges = 0, []
+        total, stable, edges = 0, 0, []
         for part in levels[level]:
             nload, nworst, nbest = load[:], worst[:], best[:]
             for h, r in part.held:
@@ -406,19 +405,19 @@ def _diagram(market: Market, kind: str, below=()) -> tuple[dict, tuple]:
                 nbest[h] = min(nbest[h], r)
             if envy and any(map(lt, nbest, nworst)):
                 continue
-            child = walk(level + 1, nload, nworst, nbest, closed or envy and any(
-                nload[h] < quota[h] and nbest[h] < none for h in settling[level]
-            ))
-            count = memo[child][0]
+            child = walk(level + 1, nload, nworst, nbest)
+            count, stable_count, _ = memo[child]
             if count:
+                opens = envy and any(nload[h] < quota[h] and nbest[h] < none for h in settling[level])
                 total += count
-                edges.append((part.contracts, child))
-        memo[key] = (total, edges)
+                stable += 0 if opens else stable_count
+                edges.append((part.contracts, child, opens))
+        memo[key] = (total, stable, edges)
         return key
 
     n = len(hospitals)
     try:
-        return memo, walk(0, [0] * n, [-1] * n, [none] * n, False)
+        return memo, walk(0, [0] * n, [-1] * n, [none] * n)
     except RecursionError:
         raise EnumerationCapError(
             f"enumeration search is {len(levels)} levels deep, past the recursion limit"
@@ -426,24 +425,25 @@ def _diagram(market: Market, kind: str, below=()) -> tuple[dict, tuple]:
 
 
 def _search(market: Market, kind: str, below=()) -> list[tuple[frozenset, bool]]:
-    """The leaves of ``_diagram(market, kind, below)``, each paired with
+    """The leaves of the ``kind`` class in ``_diagram``, each paired with
     whether it is stable, sorted by ``canon`` of the allocation.
 
-    The walk follows only edges to children with a nonzero count, so
-    every branch it enters ends in a leaf.  Every ``ir`` leaf is flagged
-    False, since its search runs no envy test.
+    The walk follows only edges to children with a nonzero count of its
+    class, so every branch it enters ends in a leaf; ``stable`` follows
+    no opening edge.  A leaf is stable when no edge on its path opens;
+    every ``ir`` leaf is flagged False, since its search runs no envy test.
     """
-    memo, root = _diagram(market, kind, below)
-    envy = kind != "ir"
+    envy, stable = kind != "ir", kind == "stable"
+    memo, root = _diagram(market, envy, below)
     out: list[tuple[frozenset, bool]] = []
-    stack = [(root, frozenset())] if memo[root][0] else []
+    stack = [(root, frozenset(), True)] if memo[root][stable] else []
     while stack:
-        key, Y = stack.pop()
-        edges = memo[key][1]
-        if edges:
-            stack += [(child, Y | S) for S, child in edges]
-        else:  # a leaf; with the envy test on, key[1] is its settled bit
-            out.append((Y, envy and not key[1]))
+        key, Y, clean = stack.pop()
+        edges = memo[key][2]
+        stack += [(child, Y | S, clean and not opens) for S, child, opens in edges
+                  if not stable or not opens and memo[child][1]]
+        if not edges:  # a leaf
+            out.append((Y, envy and clean))
     out.sort(key=lambda leaf: canon(leaf[0]))
     return out
 
@@ -475,13 +475,13 @@ def count_allocations(market: Market, kind: str = "allocation") -> int:
     independently, and a hospital whose contracts name doctors with
     n_1, n_2, ... contracts each has, summed over k up to its quota, the
     k-th elementary symmetric sum of the n_i as options.  The other
-    classes read the leaf count at the root of ``_diagram``.
+    classes read the leaf or the stable leaf count at the root of ``_diagram``.
     """
     if kind not in CLASSES:
         raise MarketError(f"unknown class {kind!r}, expected one of {CLASSES}")
     if kind != "allocation":
-        memo, root = _diagram(market, kind)
-        return memo[root][0]
+        memo, root = _diagram(market, kind != "ir")
+        return memo[root][kind == "stable"]
     _check_cap(market)
     _balanced(market, frozenset(c.id for c in market.contracts))
     doctor_of = {c.id: c.doctor for c in market.contracts}

@@ -110,6 +110,32 @@ def test_partial_table_is_a_hard_fault():
         doctor_choose(m, "d", {"a", "b"})
 
 
+def test_foreign_contract_in_a_row_is_a_hard_fault():
+    # d's row {a} chooses z, a contract of doctor e
+    m = Market(
+        doctors=(
+            DoctorSpec(id="d", choice=TableDoctor(table={
+                frozenset({"a"}): frozenset({"z"}),
+                frozenset({"b"}): frozenset({"b"}),
+                frozenset({"a", "b"}): frozenset({"b"}),
+            })),
+            DoctorSpec(id="e", choice=ResponsiveDoctor(quota=1, ranking=("z",))),
+        ),
+        hospitals=(
+            HospitalSpec(id="h1", quota=1, ranking=("a", "z")),
+            HospitalSpec(id="h2", quota=1, ranking=("b",)),
+        ),
+        contracts=(
+            Contract(id="a", doctor="d", hospital="h1"),
+            Contract(id="b", doctor="d", hospital="h2"),
+            Contract(id="z", doctor="e", hospital="h1"),
+        ),
+    )
+    for check in CHECKERS.values():
+        with pytest.raises(InvariantViolation, match=r"doctor d .*\('a',\)"):
+            check(m, "d")
+
+
 def test_hospital_prefers(no_lad):
     assert hospital_prefers(no_lad, "h1", "x21", "x11")
     assert not hospital_prefers(no_lad, "h1", "x11", "x21")

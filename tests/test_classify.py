@@ -173,18 +173,33 @@ def test_counts_of_the_baseline(baseline_x22):
     assert counts == {"allocation": 280800, "ir": 5832, "envy-free": 328, "stable": 1}
 
 
-def test_diagram_of_the_baseline(baseline_x22):
-    # node counts recorded when listing and counting became one diagram;
-    # a change means the frontier key or the level order changed
-    nodes = {}
-    for kind in ("ir", "envy-free", "stable"):
-        memo, _ = classify_module._diagram(baseline_x22, kind)
-        nodes[kind] = len(memo)
-        # every stored edge is live: the listing never enters a dead branch
-        for count, edges in memo.values():
-            assert all(memo[child][0] for _, child in edges), kind
-            assert not edges or count == sum(memo[child][0] for _, child in edges), kind
-    assert nodes == {"ir": 146, "envy-free": 157, "stable": 157}
+def test_diagram_of_the_baseline(baseline_x22, monkeypatch):
+    # node counts recorded when the envy-free and stable classes became
+    # one diagram; a change means the frontier key or the level order
+    # changed.  Ladder X=56 is past the default cap.
+    monkeypatch.setenv("ENVYLATTICE_ENUM_CAP", "56")
+    ladder_x56 = generate_responsive_market(
+        GenParams(14, 10, 56, seed=5, doctor_quota=(1, 3), hospital_quota=(1, 3))
+    )
+    cases = {"ir": (baseline_x22, False), "envy-free": (baseline_x22, True),
+             "ladder x56": (ladder_x56, True)}
+    nodes, roots = {}, {}
+    for name, (market, envy) in cases.items():
+        memo, root = classify_module._diagram(market, envy)
+        nodes[name], roots[name] = len(memo), memo[root][:2]
+        for key, (count, stable, edges) in memo.items():
+            # every stored edge is live: the listing never enters a dead branch
+            assert all(memo[child][0] for _, child, _ in edges), name
+            assert 0 <= stable <= count, name
+            if key[0] == len(market.doctors):
+                assert (count, stable, edges) == (1, 1, []), name
+            elif edges:
+                assert count == sum(memo[child][0] for _, child, _ in edges), name
+                assert stable == sum(memo[child][1] for _, child, opens in edges if not opens), name
+            # without the envy test no edge opens
+            assert envy or not any(opens for _, _, opens in edges), name
+    assert nodes == {"ir": 146, "envy-free": 144, "ladder x56": 6450}
+    assert roots == {"ir": (5832, 5832), "envy-free": (328, 1), "ladder x56": (3456, 1)}
 
 
 def test_accounting_identity_still_refuses_unknown_doctors():
