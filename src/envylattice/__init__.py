@@ -8,7 +8,6 @@ from .choice import (
     PROPERTIES,
     PropertyWitness,
     ValidationEntry,
-    ValidationLimits,
     check_consistency,
     check_distinct_hospitals,
     check_lad,

@@ -140,29 +140,21 @@ class ValidationEntry:
     passed: bool
     severity: str  # "fatal" | "informative"
     # For a responsive doctor, which is not swept, this records the size
-    # rule a sweep would follow (more than ``subset_cap`` contracts, or
-    # ``pair_cap`` for path independence), not a sampled check.
+    # rule a sweep would follow (more than ``SUBSET_CAP`` contracts, or
+    # ``PAIR_CAP`` for path independence), not a sampled check.
     sampled: bool = False
     witness: PropertyWitness | None = None
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationLimits:
-    """Exhaustiveness caps for the axiom checkers.
-
-    Up to ``subset_cap`` own contracts the single-removal sweeps cover
-    all n * 2^n instances; path independence is decided over all 4^n
-    subset pairs up to ``pair_cap``.  Larger agents are spot-checked with
-    ``samples`` seeded random instances and the outcome is marked sampled.
-    """
-
-    subset_cap: int = 16
-    pair_cap: int = 10
-    samples: int = 2000
-
-
-DEFAULT_LIMITS = ValidationLimits()
+# Exhaustiveness caps of the axiom sweeps, read at call time.  Up to
+# SUBSET_CAP own contracts the single-removal sweeps cover all n * 2^n
+# instances; path independence is decided over all 4^n subset pairs up
+# to PAIR_CAP.  Larger doctors are spot-checked with SAMPLES seeded
+# random instances and the outcome is marked sampled.
+SUBSET_CAP = 16
+PAIR_CAP = 10
+SAMPLES = 2000
 
 
 class _Memo(dict):
@@ -177,35 +169,29 @@ class _Memo(dict):
         return value
 
 
-def sampled_sweeps(n: int, limits: ValidationLimits = DEFAULT_LIMITS) -> tuple[bool, bool]:
-    """Whether the removal sweeps and the pair sweep are sampled on n contracts."""
-    return n > limits.subset_cap, n > limits.pair_cap
-
-
-def _subset_masks(doctor: str, n: int, limits: ValidationLimits):
+def _subset_masks(doctor: str, n: int):
     """All subset masks when exhaustive, a seeded sample otherwise."""
-    if not sampled_sweeps(n, limits)[0]:
+    if n <= SUBSET_CAP:
         return range(1 << n)
     rng = random.Random(f"axiom-check:{doctor}:{n}")
     masks = {0, (1 << n) - 1}
-    # a tight samples limit can exceed the whole mask space
-    target = min(limits.samples, 1 << n)
+    # SAMPLES can exceed the whole mask space when SUBSET_CAP is small
+    target = min(SAMPLES, 1 << n)
     while len(masks) < target:
         masks.add(rng.getrandbits(n))
     return sorted(masks)
 
 
-def _doctor_entries(doctor: str, n: int, witnesses: dict, limits=DEFAULT_LIMITS) -> dict:
+def _doctor_entries(doctor: str, n: int, witnesses: dict) -> dict:
     """A doctor's entry per axiom, failed where ``witnesses`` has one.
 
     LAD alone is informative.  ``sampled`` follows the sweeps' size rule.
     """
-    removal, pairs = sampled_sweeps(n, limits)
     return {
         prop: ValidationEntry(
             agent=doctor, agent_kind="doctor", prop=prop, passed=prop not in witnesses,
             severity="informative" if prop == "lad" else "fatal",
-            sampled=pairs if prop == "path-independence" else removal,
+            sampled=n > (PAIR_CAP if prop == "path-independence" else SUBSET_CAP),
             witness=witnesses.get(prop),
         )
         for prop in PROPERTIES
@@ -228,7 +214,7 @@ def _path_independent(table: list[int]) -> bool:
     return True
 
 
-def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict[str, ValidationEntry]:
+def _check_all(market: Market, doctor: str) -> dict[str, ValidationEntry]:
     """Every axiom's entry for one doctor, from one table of choices.
 
     Subsets of X_d are bitmasks over the sorted contract order.  A table
@@ -268,13 +254,13 @@ def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict[st
             # any other row is left to ``choose``, read through evaluate_doctor
             if chosen <= given <= own:
                 C[sum(map(bit.__getitem__, given))] = sum(map(bit.__getitem__, chosen))
-    if len(C) == 1 << n and not sampled_sweeps(n, limits)[0]:
+    if len(C) == 1 << n and n <= SUBSET_CAP:
         C = [C[m] for m in range(1 << n)]  # list indexing beats dict lookup
     distinct_ok = _Memo(
         lambda c: len({h for i, h in enumerate(hospital_of) if c >> i & 1}) == c.bit_count()
     )
     found: dict[str, tuple[int, ...]] = {}
-    for m in _subset_masks(doctor, n, limits):
+    for m in _subset_masks(doctor, n):
         c = C[m]
         if (c & ~m or not distinct_ok[c]) and "distinct-hospitals" not in found:
             found["distinct-hospitals"] = (m,)
@@ -295,7 +281,7 @@ def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict[st
     # Path independence.  The pairs are scanned only for the witness of a
     # failed decision, which is itself a failing pair (b empty or one
     # contract), so the scan always finds one.
-    if not sampled_sweeps(n, limits)[1]:
+    if n <= PAIR_CAP:
         full = range(1 << n)
         table = [C[m] for m in full]
         if not _path_independent(table):
@@ -304,7 +290,7 @@ def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict[st
             )
     else:
         rng = random.Random(f"axiom-check-pairs:{doctor}:{n}")
-        for _ in range(limits.samples):
+        for _ in range(SAMPLES):
             a, b = rng.getrandbits(n), rng.getrandbits(n)
             ca = C[a]
             if ca != a and C[a | b] != C[ca | b]:
@@ -315,56 +301,45 @@ def _check_all(market: Market, doctor: str, limits: ValidationLimits) -> dict[st
         prop: PropertyWitness(prop, tuple(map(ids, masks)), tuple(ids(C[m]) for m in masks))
         for prop, masks in found.items()
     }
-    return _doctor_entries(doctor, n, witnesses, limits)
+    return _doctor_entries(doctor, n, witnesses)
 
 
-def _entry(market: Market, doctor: str, limits: ValidationLimits, prop: str) -> ValidationEntry:
-    """One axiom's entry, from a sweep made once per (doctor, limits)."""
+def _entry(market: Market, doctor: str, prop: str) -> ValidationEntry:
+    """One axiom's entry, from a sweep made once per doctor."""
     if doctor not in market.doctor_by_id:
         raise UnknownIdError(f"unknown doctor id: {doctor!r}")
-    key = (doctor, limits)
-    if key not in market._axiom_cache:
-        market._axiom_cache[key] = _check_all(market, doctor, limits)
-    return market._axiom_cache[key][prop]
+    if doctor not in market._axiom_cache:
+        market._axiom_cache[doctor] = _check_all(market, doctor)
+    return market._axiom_cache[doctor][prop]
 
 
-def check_distinct_hospitals(
-    market: Market, doctor: str, limits: ValidationLimits = DEFAULT_LIMITS
-) -> ValidationEntry:
+def check_distinct_hospitals(market: Market, doctor: str) -> ValidationEntry:
     """C(S) <= S, and no two chosen contracts name the same hospital."""
-    return _entry(market, doctor, limits, "distinct-hospitals")
+    return _entry(market, doctor, "distinct-hospitals")
 
 
-def check_substitutable(
-    market: Market, doctor: str, limits: ValidationLimits = DEFAULT_LIMITS
-) -> ValidationEntry:
+def check_substitutable(market: Market, doctor: str) -> ValidationEntry:
     """Chosen contracts stay chosen when other contracts disappear."""
-    return _entry(market, doctor, limits, "substitutability")
+    return _entry(market, doctor, "substitutability")
 
 
-def check_consistency(
-    market: Market, doctor: str, limits: ValidationLimits = DEFAULT_LIMITS
-) -> ValidationEntry:
+def check_consistency(market: Market, doctor: str) -> ValidationEntry:
     """Dropping unchosen contracts never changes the choice."""
-    return _entry(market, doctor, limits, "consistency")
+    return _entry(market, doctor, "consistency")
 
 
-def check_path_independence(
-    market: Market, doctor: str, limits: ValidationLimits = DEFAULT_LIMITS
-) -> ValidationEntry:
+def check_path_independence(market: Market, doctor: str) -> ValidationEntry:
     """C(Y | Yp) == C(C(Y) | Yp) over subset pairs.
 
     Derived cross-check: substitutability plus consistency imply it, so a
     failure here flags an internal contradiction in the other checks.
     """
-    return _entry(market, doctor, limits, "path-independence")
+    return _entry(market, doctor, "path-independence")
 
 
-def check_lad(
-    market: Market, doctor: str, limits: ValidationLimits = DEFAULT_LIMITS
-) -> ValidationEntry:
+def check_lad(market: Market, doctor: str) -> ValidationEntry:
     """Law of aggregate demand: smaller offer sets never win more contracts."""
-    return _entry(market, doctor, limits, "lad")
+    return _entry(market, doctor, "lad")
 
 
 CHECKERS = {

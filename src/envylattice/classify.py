@@ -474,8 +474,9 @@ def count_allocations(market: Market, kind: str = "allocation") -> int:
     ``allocation`` has a closed form.  Hospitals take their options
     independently, and a hospital whose contracts name doctors with
     n_1, n_2, ... contracts each has, summed over k up to its quota, the
-    k-th elementary symmetric sum of the n_i as options.  The other
-    classes read the leaf or the stable leaf count at the root of ``_diagram``.
+    k-th elementary symmetric sum of the n_i as options (0 past the
+    number of doctors).  The other classes read the leaf or the stable
+    leaf count at the root of ``_diagram``.
     """
     if kind not in CLASSES:
         raise MarketError(f"unknown class {kind!r}, expected one of {CLASSES}")
@@ -487,9 +488,11 @@ def count_allocations(market: Market, kind: str = "allocation") -> int:
     doctor_of = {c.id: c.doctor for c in market.contracts}
     total = 1
     for h in market.hospitals:
-        sums = [1] + [0] * h.quota  # elementary symmetric sums, up to quota
-        for n in Counter(map(doctor_of.get, market.hospital_contracts[h.id])).values():
-            for k in range(h.quota, 0, -1):
+        per_doctor = Counter(map(doctor_of.get, market.hospital_contracts[h.id])).values()
+        top = min(h.quota, len(per_doctor))  # elementary symmetric sums up to here
+        sums = [1] + [0] * top
+        for n in per_doctor:
+            for k in range(top, 0, -1):
                 sums[k] += sums[k - 1] * n
         total *= sum(sums)
     return total

@@ -162,21 +162,20 @@ def default_iteration_cap(market: Market) -> int:
     return len(market.contracts) * max(len(market.doctors), 1) + 1
 
 
-def tarski_fixed_point(market: Market, Y, cap: int | None = None) -> TarskiTrace:
+def tarski_fixed_point(market: Market, Y) -> TarskiTrace:
     """Iterate adjustment rounds from Y until stable.
 
     The trace records every visited allocation including the fixed
-    point; ``iterations`` counts the applications.  Exceeding the cap is
-    a hard fault: on an axiom-satisfying market the walk provably
-    terminates well inside it.
+    point; ``iterations`` counts the applications.  Exceeding
+    ``default_iteration_cap`` rounds is a hard fault: on an
+    axiom-satisfying market the walk provably terminates well inside it.
     """
-    return _walk(market, *_require_envy_free(market, Y), cap)
+    return _walk(market, *_require_envy_free(market, Y))
 
 
-def _walk(market: Market, Y: frozenset, blocking: frozenset, cap: int | None = None) -> TarskiTrace:
+def _walk(market: Market, Y: frozenset, blocking: frozenset) -> TarskiTrace:
     # The walk from the envy-free Y with blocking set ``blocking``.
-    if cap is None:
-        cap = default_iteration_cap(market)
+    cap = default_iteration_cap(market)
     steps = [_step(market, Y, blocking)]
     while steps[-1].blocking:
         if len(steps) > cap:
@@ -304,7 +303,7 @@ def verify_lad_predictions(market: Market, Y) -> TheoremReport:
     hospital-optimal allocation.  The doctors failing the law of
     aggregate demand are the failed ``lad`` entries of
     ``validate_market``, so none on a market that fails its structural
-    pass.  The walk from Y runs under its default iteration cap.
+    pass.  The walk from Y runs under ``default_iteration_cap``.
 
     * fixed_point_equals_join: iterating from the envy-free Y lands on
       join(Y, hospital-optimal stable allocation);

@@ -170,7 +170,7 @@ class Market:
 
     @cached_property
     def _axiom_cache(self) -> dict:
-        # Choice-axiom outcomes of each doctor, keyed (doctor, limits).
+        # Choice-axiom outcomes of each doctor, keyed by doctor id.
         return {}
 
 

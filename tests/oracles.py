@@ -30,6 +30,7 @@ from envylattice import (
     reduce_market,
     restrict,
 )
+from envylattice import choice
 from envylattice.choice import hospital_prefers
 from envylattice.dynamics import TarskiStep, TarskiTrace, default_iteration_cap
 
@@ -307,16 +308,18 @@ def naive_axiom_verdict(market: Market, doctor: str, prop: str) -> bool:
     raise ValueError(prop)
 
 
-def first_witness_oracle(market: Market, doctor: str, prop: str, limits) -> tuple:
+def first_witness_oracle(market: Market, doctor: str, prop: str) -> tuple:
     """Replay one axiom with plain nested loops, in the checkers' order.
 
     Subsets of X_d are numbered by bitmasks over the sorted contract ids.
     The single-removal properties visit every subset in ascending order
-    (the seeded sample above ``limits.subset_cap``), then remove one
+    (the seeded sample above ``choice.SUBSET_CAP``), then remove one
     contract at a time in ascending order.  Path independence visits the
     pairs (A, B) with A major (the seeded sampled pairs above
-    ``limits.pair_cap``).  Returns (passed, sampled, witness) with the
-    witness as its (subsets, choices) id tuples, or None.
+    ``choice.PAIR_CAP``).  The constants are read at call time, so a
+    patch on ``envylattice.choice`` reaches both this and the checkers.
+    Returns (passed, sampled, witness) with the witness as its (subsets,
+    choices) id tuples, or None.
     """
     contracts = sorted(market.doctor_contracts[doctor])
     n = len(contracts)
@@ -331,10 +334,10 @@ def first_witness_oracle(market: Market, doctor: str, prop: str, limits) -> tupl
         return (tuple(canon(S) for S in sets), tuple(canon(choose(S)) for S in sets))
 
     if prop == "path-independence":
-        sampled = n > limits.pair_cap
+        sampled = n > choice.PAIR_CAP
         if sampled:
             rng = random.Random(f"axiom-check-pairs:{doctor}:{n}")
-            pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(limits.samples)]
+            pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(choice.SAMPLES)]
         else:
             pairs = [(a, b) for a in range(2**n) for b in range(2**n)]
         for a, b in pairs:
@@ -343,11 +346,11 @@ def first_witness_oracle(market: Market, doctor: str, prop: str, limits) -> tupl
                 return False, sampled, witness(A, B)
         return True, sampled, None
 
-    sampled = n > limits.subset_cap
+    sampled = n > choice.SUBSET_CAP
     if sampled:
         rng = random.Random(f"axiom-check:{doctor}:{n}")
         masks = {0, 2**n - 1}
-        while len(masks) < min(limits.samples, 2**n):
+        while len(masks) < min(choice.SAMPLES, 2**n):
             masks.add(rng.getrandbits(n))
         masks = sorted(masks)
     else:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,7 +24,6 @@ from envylattice import (
     TableDoctor,
     UnknownIdError,
     ValidationEntry,
-    ValidationLimits,
     check_lad,
     check_substitutable,
     doctor_choose,
@@ -30,7 +31,7 @@ from envylattice import (
     validate_market,
 )
 from envylattice import choice
-from envylattice.choice import DEFAULT_LIMITS, hospital_prefers
+from envylattice.choice import hospital_prefers
 
 from oracles import (
     doctor_choice_oracle,
@@ -39,6 +40,16 @@ from oracles import (
     naive_axiom_verdict,
     subsets_of,
 )
+
+
+def tight_sweeps(subset_cap=3, pair_cap=2, samples=24):
+    """Patch the sweep constants, so that few contracts take the sampled paths.
+
+    Checkers read the constants at call time, but a market caches each
+    doctor's sweep: patched calls need a market no unpatched call has
+    swept, such as a freshly built one.
+    """
+    return mock.patch.multiple(choice, SUBSET_CAP=subset_cap, PAIR_CAP=pair_cap, SAMPLES=samples)
 
 
 def one_doctor_market(contracts, choice, quotas=None) -> Market:
@@ -221,11 +232,11 @@ def test_golden_axiom_facts(no_lad, lattice_demo):
 def test_sampled_flag():
     contracts = [(f"c{i}", f"h{i % 3}") for i in range(5)]
     ids = tuple(sorted(c for c, _ in contracts))
-    m = one_doctor_market(contracts, ResponsiveDoctor(quota=2, ranking=ids))
-    tight = ValidationLimits(subset_cap=3, pair_cap=2, samples=40)
-    out = check_substitutable(m, "d", tight)
+    rule = ResponsiveDoctor(quota=2, ranking=ids)
+    with tight_sweeps(samples=40):
+        out = check_substitutable(one_doctor_market(contracts, rule), "d")
     assert out.passed and out.sampled
-    assert not check_substitutable(m, "d").sampled
+    assert not check_substitutable(one_doctor_market(contracts, rule), "d").sampled
 
 
 @settings(max_examples=60, deadline=None)
@@ -283,17 +294,16 @@ def _out_of_row_market() -> Market:
 
 
 @settings(max_examples=200, deadline=None)
-@example(_out_of_row_market(), DEFAULT_LIMITS)
-@given(
-    one_doctor_markets(),
-    st.sampled_from([DEFAULT_LIMITS, ValidationLimits(subset_cap=3, pair_cap=2, samples=24)]),
-)
-def test_checkers_match_first_witness_oracle(m, limits):
-    for prop in PROPERTIES:
-        out = CHECKERS[prop](m, "d", limits)
-        witness = None if out.witness is None else (out.witness.subsets, out.witness.choices)
-        assert (out.passed, out.sampled, witness) == first_witness_oracle(m, "d", prop, limits), prop
-        assert out.witness is None or out.witness.prop == prop
+@example(_out_of_row_market(), False)
+@given(one_doctor_markets(), st.booleans())
+def test_checkers_match_first_witness_oracle(m, tight):
+    # each draw builds its own market, so a tight draw sweeps it first
+    with tight_sweeps() if tight else contextlib.nullcontext():
+        for prop in PROPERTIES:
+            out = CHECKERS[prop](m, "d")
+            witness = None if out.witness is None else (out.witness.subsets, out.witness.choices)
+            assert (out.passed, out.sampled, witness) == first_witness_oracle(m, "d", prop), prop
+            assert out.witness is None or out.witness.prop == prop
 
 
 def _mask_table_market(table: list[int]) -> Market:
@@ -363,12 +373,26 @@ def test_checkers_match_first_witness_oracle_past_one_byte():
         outs = {prop: CHECKERS[prop](m, "d") for prop in PROPERTIES}
         for prop, out in outs.items():
             witness = None if out.witness is None else (out.witness.subsets, out.witness.choices)
-            want = first_witness_oracle(m, "d", prop, DEFAULT_LIMITS)
+            want = first_witness_oracle(m, "d", prop)
             assert (out.passed, out.sampled, witness) == want, (n, seed, prop)
         failed.append({prop for prop, out in outs.items() if not out.passed})
     removal = {"distinct-hospitals", "substitutability", "consistency", "lad"}
     assert any(removal <= props for props in failed)  # every removal property fails
     assert any("path-independence" in props for props in failed)
+
+
+def test_patched_sweeps_reach_validation():
+    with tight_sweeps():
+        m = replaced_rows_market(5, 1)
+        doctors = [e for e in validate_market(m).entries if e.agent_kind == "doctor"]
+        assert [e.prop for e in doctors] == list(PROPERTIES)
+        for e in doctors:
+            witness = None if e.witness is None else (e.witness.subsets, e.witness.choices)
+            assert e.sampled
+            assert (e.passed, e.sampled, witness) == first_witness_oracle(m, "d", e.prop), e.prop
+    # the patch is gone, and it left nothing behind for a new market
+    fresh = validate_market(replaced_rows_market(5, 1)).entries
+    assert not any(e.sampled for e in fresh if e.agent_kind == "doctor")
 
 
 @pytest.fixture

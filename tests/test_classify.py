@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import random
 
@@ -71,6 +72,15 @@ def test_allocation_count_matches_the_closed_form(no_lad, lattice_demo):
     for market in (no_lad, lattice_demo, *generated):
         assert len(enumerate_allocations(market, "allocation")) == allocation_count(market)
         assert count_allocations(market, "allocation") == allocation_count(market)
+
+
+def test_allocation_count_with_a_huge_quota(no_lad):
+    # a hospital can take no more contracts than it has doctors, so the
+    # count ignores the rest of the quota (allocation_count loops up to it)
+    huge = dataclasses.replace(
+        no_lad, hospitals=tuple(dataclasses.replace(h, quota=10**30) for h in no_lad.hospitals)
+    )
+    assert count_allocations(huge, "allocation") == len(enumerate_allocations(huge, "allocation")) == 64
 
 
 @settings(max_examples=200, deadline=None)

@@ -170,6 +170,18 @@ def test_enumerate_count_only():
     assert json.loads(proc.stdout) == {"class": "stable", "count": 2}
 
 
+def test_count_only_with_a_huge_quota(tmp_path):
+    doc = json.loads(NO_LAD_PATH.read_text())
+    for h in doc["hospitals"]:
+        h["quota"] = 10**30
+    path = tmp_path / "huge-quota.market.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("enumerate", str(path), "--class", "allocation", "--count-only")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"class": "allocation", "count": 64}
+    assert proc.stderr == b""
+
+
 def test_enumerate_lists_allocations():
     proc = run_cli("enumerate", str(NO_LAD_PATH), "--class", "envy-free")
     doc = json.loads(proc.stdout)

@@ -134,11 +134,13 @@ def test_every_envy_free_start_reaches_stable(no_lad, lattice_demo):
             assert trace.iterations <= default_iteration_cap(market)
 
 
-def test_iteration_cap(no_lad):
-    with pytest.raises(InvariantViolation):
-        tarski_fixed_point(no_lad, EF_MIDDLE, cap=0)
-    assert tarski_fixed_point(no_lad, EF_MIDDLE, cap=1).fixed_point == DOCTOR_OPT
+def test_iteration_cap(no_lad, monkeypatch):
     assert default_iteration_cap(no_lad) == 13
+    monkeypatch.setattr(dynamics_module, "default_iteration_cap", lambda market: 0)
+    with pytest.raises(InvariantViolation, match="^no fixed point within 0 iterations"):
+        tarski_fixed_point(no_lad, EF_MIDDLE)
+    monkeypatch.setattr(dynamics_module, "default_iteration_cap", lambda market: 1)
+    assert tarski_fixed_point(no_lad, EF_MIDDLE).fixed_point == DOCTOR_OPT
 
 
 def test_reduce_market(no_lad):
