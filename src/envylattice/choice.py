@@ -56,21 +56,67 @@ def doctor_choose(market: Market, doctor: str, S) -> frozenset:
     """
     if doctor not in market.doctor_by_id:
         raise UnknownIdError(f"unknown doctor id: {doctor!r}")
-    own = frozenset(S) & market.doctor_contracts[doctor]
-    if not own:
-        return frozenset()
-    key = (doctor, own)
-    cached = market._choice_cache.get(key)
-    if cached is None:
-        cached = market._choice_cache[key] = evaluate_doctor(market, doctor, own)
-    return cached
+    return _ids(market, doctor, _choose(market, doctor, _parts(market, S).get(doctor, 0)))
+
+
+def _choose(market: Market, doctor: str, mask: int) -> int:
+    """C_d on the subset ``mask`` of X_d, as a mask, through the memo.
+
+    Unchecked: ``doctor`` must be a doctor of the market.  Subsets and
+    choices are bitmasks over ``Market.contract_bit``; the empty set
+    chooses itself and is not stored.
+    """
+    chosen = market._choice_cache.get((doctor, mask))
+    if chosen is None:
+        chosen = _evaluate(market, doctor, mask)
+        if mask:
+            market._choice_cache[doctor, mask] = chosen
+    return chosen
+
+
+def _parts(market: Market, Y) -> dict[str, int]:
+    """The mask of each nonempty doctor part Y_d of Y.  A contract that
+    names no doctor of the market is in no part."""
+    bit = market.contract_bit
+    parts: dict[str, int] = {}
+    for x in Y:
+        owner = bit.get(x)
+        if owner is not None:
+            d, b = owner
+            parts[d] = parts.get(d, 0) | b
+    return parts
+
+
+def _ids(market: Market, doctor: str, mask: int) -> frozenset:
+    """The contracts of X_d in ``mask``."""
+    bit = market.contract_bit
+    return frozenset([x for x in market.doctor_contracts[doctor] if bit[x][1] & mask])
+
+
+def _evaluate(market: Market, doctor: str, mask: int) -> int:
+    """``evaluate_doctor`` on a mask of X_d, as a mask.
+
+    A choice outside X_d has no mask: it is an ``InvariantViolation``
+    (validation reports such a table row as a structure failure).
+    """
+    if not mask:
+        return 0
+    given = _ids(market, doctor, mask)
+    chosen = evaluate_doctor(market, doctor, given)
+    if not chosen <= market.doctor_contracts[doctor]:
+        raise InvariantViolation(
+            f"choice table for doctor {doctor} chooses {canon(chosen)} from {canon(given)}, "
+            "outside the doctor's contracts"
+        )
+    bit = market.contract_bit
+    return sum([bit[x][1] for x in chosen])
 
 
 def evaluate_doctor(market: Market, doctor: str, own: frozenset) -> frozenset:
     """C_d on a nonempty subset of X_d, uncached.
 
-    This is the one definition of each doctor rule: ``doctor_choose``
-    memoizes it and the axiom checkers validate it.  The checkers read a
+    This is the one definition of each doctor rule: ``_choose`` memoizes
+    it and the axiom checkers validate it.  The checkers read a
     table doctor's rows directly and call this only for a subset the
     table lacks.  For table doctors a missing row is a hard fault:
     validation proves totality, so a miss means the table was mutated
@@ -217,9 +263,10 @@ def _path_independent(table: list[int]) -> bool:
 def _check_all(market: Market, doctor: str) -> dict[str, ValidationEntry]:
     """Every axiom's entry for one doctor, from one table of choices.
 
-    Subsets of X_d are bitmasks over the sorted contract order.  A table
-    doctor's rows are read into the mask table in one pass; any other
-    subset is evaluated at most once, when first read.  One sweep over
+    Subsets of X_d are bitmasks over ``Market.contract_bit``, the sorted
+    contract order.  A table doctor's rows are read into the mask table
+    in one pass; any other subset is evaluated at most once, when first
+    read, and never stored in the choice memo.  One sweep over
     all the masks checks distinct hospitals, substitutability,
     consistency and LAD together, whether they fail or not; path
     independence is decided on the same table (``_path_independent``).
@@ -227,37 +274,26 @@ def _check_all(market: Market, doctor: str) -> dict[str, ValidationEntry]:
     masks ascending, then removed bit ascending, or pairs (a, b) with a
     major for path independence.
     """
-    contracts = canon(market.doctor_contracts[doctor])
+    own = market.doctor_contracts[doctor]
+    contracts = canon(own)
     n = len(contracts)
-    bit = {cid: 1 << i for i, cid in enumerate(contracts)}
-    hospital_of = [market.contract_by_id[cid].hospital for cid in contracts]
+    bit = {cid: market.contract_bit[cid][1] for cid in contracts}
 
     def ids(mask: int) -> tuple[str, ...]:
-        return tuple(c for i, c in enumerate(contracts) if mask >> i & 1)
+        return tuple(c for c in contracts if bit[c] & mask)
 
-    def choose(mask: int) -> int:
-        given = frozenset(ids(mask))
-        chosen = evaluate_doctor(market, doctor, given) if mask else frozenset()
-        if not chosen <= bit.keys():
-            raise InvariantViolation(
-                f"choice table for doctor {doctor} chooses {canon(chosen)} from {canon(given)}, "
-                "outside the doctor's contracts"
-            )
-        return sum(map(bit.__getitem__, chosen))
-
-    C = _Memo(choose)
+    C = _Memo(lambda mask: _evaluate(market, doctor, mask))
     C[0] = 0
     rule = market.doctor_by_id[doctor].choice
     if isinstance(rule, TableDoctor):
-        own = market.doctor_contracts[doctor]
         for given, chosen in rule.table.items():
-            # any other row is left to ``choose``, read through evaluate_doctor
+            # any other row is left to ``_evaluate``, read through evaluate_doctor
             if chosen <= given <= own:
                 C[sum(map(bit.__getitem__, given))] = sum(map(bit.__getitem__, chosen))
     if len(C) == 1 << n and n <= SUBSET_CAP:
         C = [C[m] for m in range(1 << n)]  # list indexing beats dict lookup
     distinct_ok = _Memo(
-        lambda c: len({h for i, h in enumerate(hospital_of) if c >> i & 1}) == c.bit_count()
+        lambda c: len({market.contract_by_id[x].hospital for x in ids(c)}) == c.bit_count()
     )
     found: dict[str, tuple[int, ...]] = {}
     for m in _subset_masks(doctor, n):

@@ -59,7 +59,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import lt
 
-from .choice import doctor_choose, hospital_prefers
+from .choice import _choose, _ids, _parts, hospital_prefers
 from .model import (
     Market,
     MarketError,
@@ -110,9 +110,8 @@ def _ir(market: Market, Y: frozenset) -> bool:
     # IR of the allocation Y: every doctor's choice from its part keeps
     # it, and every held contract is acceptable to its hospital; Y is an
     # allocation, so no hospital is above quota and C_h(Y_h) == Y_h.
-    for d in market.doctors:
-        own = Y & market.doctor_contracts[d.id]
-        if doctor_choose(market, d.id, own) != own:
+    for d, part in _parts(market, Y).items():
+        if _choose(market, d, part) != part:
             return False
     rank = market.hospital_rank
     return all(x in rank[market.contract_by_id[x].hospital] for x in Y)
@@ -126,23 +125,27 @@ def _blocking(market: Market, Y: frozenset, hospitals=None) -> frozenset:
     contracts are read; a full hospital's is cut at the worst rank it
     holds (an unacceptable held contract is worst of all and cuts
     nothing).  The doctor is asked about each contract read outside Y:
-    x in C_d(Y_d | {x}).
+    x in C_d(Y_d | {x}), with Y_d the doctor's part mask, built once.
     """
     if hospitals is None:
         hospitals = market.hospitals
     else:
         hospitals = map(market.hospital_by_id.__getitem__, hospitals)
+    parts = _parts(market, Y)
+    bit = market.contract_bit
     out = []
     for h in hospitals:
         ranking = h.ranking
         held = Y & market.hospital_contracts[h.id]
         if len(held) >= h.quota:
             rank = market.hospital_rank[h.id]
-            ranking = ranking[:max((rank.get(x, len(ranking)) for x in held), default=0)]
+            if rank.keys() >= held:
+                ranking = ranking[:max(map(rank.__getitem__, held), default=0)]
         for x in ranking:
-            d = market.contract_by_id[x].doctor
-            if x not in Y and x in doctor_choose(market, d, Y & market.doctor_contracts[d] | {x}):
-                out.append(x)
+            if x not in Y:
+                d, b = bit[x]
+                if _choose(market, d, parts.get(d, 0) | b) & b:
+                    out.append(x)
     return frozenset(out)
 
 
@@ -163,8 +166,21 @@ def _witnesses(market: Market, Y: frozenset, blocking: frozenset) -> tuple[EnvyW
     return tuple(found)
 
 
+def _envious(market: Market, Y: frozenset, blocking: frozenset) -> bool:
+    """Whether Y has justified envy: whether some contract of its
+    blocking set ranks above the worst contract held at its hospital
+    (an unacceptable one is worst of all).  Stops at the first."""
+    rank = market.hospital_rank
+    for x in blocking:
+        h = market.contract_by_id[x].hospital
+        r = rank[h]
+        if any(r.get(y, len(r)) > r[x] for y in Y & market.hospital_contracts[h]):
+            return True
+    return False
+
+
 def _envy_free(market: Market, Y: frozenset, blocking: frozenset) -> bool:
-    return _ir(market, Y) and not _witnesses(market, Y, blocking)
+    return _ir(market, Y) and not _envious(market, Y, blocking)
 
 
 def _require_envy_free(market: Market, Y) -> tuple[frozenset, frozenset]:
@@ -309,28 +325,29 @@ class _Part:
     desired: tuple[tuple[int, int], ...]
 
 
-def _ir_parts(market: Market, doctor: str, index: dict[str, int], below) -> list[_Part]:
+def _ir_parts(market: Market, doctor: str, index: dict[str, int], below: list[int]) -> list[_Part]:
     """Every S within X_d with C_d(S) == S, distinct hospitals, every
-    contract acceptable to its hospital, and C_d(B | S) == B_d for each
-    allocation B in ``below``."""
+    contract acceptable to its hospital, and C_d(B_d | S) == B_d for each
+    part mask B_d in ``below``."""
     rank = market.hospital_rank
-    own = market.doctor_contracts[doctor]
-    hospital_of = {x: market.contract_by_id[x].hospital for x in own}
-    acceptable = [x for x in own if x in rank[hospital_of[x]]]
+    facts: dict[int, tuple[int, int]] = {}  # hospital index and rank of each acceptable bit
+    for x in market.doctor_contracts[doctor]:
+        h = market.contract_by_id[x].hospital
+        if x in rank[h]:
+            facts[market.contract_bit[x][1]] = index[h], rank[h][x]
     parts = []
-    for S in _one_per_group(acceptable, hospital_of.get, len(own)):
-        if doctor_choose(market, doctor, S) != S or any(
-            doctor_choose(market, doctor, B | S) != B & own for B in below
+    for S in _one_per_group(facts, lambda b: facts[b][0], len(facts)):
+        s = sum(S)
+        if _choose(market, doctor, s) != s or below and any(
+            _choose(market, doctor, b | s) != b for b in below
         ):
             continue
-        held = tuple((index[hospital_of[x]], rank[hospital_of[x]][x]) for x in S)
         best: dict[int, int] = {}
-        for x in hospital_of.keys() - S:
-            h = hospital_of[x]
-            r = rank[h].get(x)
-            if r is not None and x in doctor_choose(market, doctor, S | {x}):
-                best[index[h]] = min(best.get(index[h], r), r)
-        parts.append(_Part(S, held, tuple(best.items())))
+        for b, (h, r) in facts.items():
+            if not s & b and _choose(market, doctor, s | b) & b:
+                best[h] = min(best.get(h, r), r)
+        held = tuple(map(facts.__getitem__, S))
+        parts.append(_Part(_ids(market, doctor, s), held, tuple(best.items())))
     return parts
 
 
@@ -340,7 +357,10 @@ def _levels(market: Market, below=()) -> list[list[_Part]]:
     identity on the contracts of all the parts."""
     _check_cap(market)
     index = {h.id: i for i, h in enumerate(market.hospitals)}
-    levels = [_ir_parts(market, d, index, below) for d in sorted(market.doctor_by_id)]
+    below = [_parts(market, B) for B in below]
+    levels = [
+        _ir_parts(market, d, index, [B.get(d, 0) for B in below]) for d in sorted(market.doctor_by_id)
+    ]
     _balanced(market, frozenset().union(*(p.contracts for parts in levels for p in parts)))
     return levels
 

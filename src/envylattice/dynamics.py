@@ -32,9 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .choice import doctor_choose, hospital_prefers
+from .choice import _choose, _ids, _parts, hospital_prefers
 from .classify import (
     _blocking,
+    _envious,
     _ir,
     _require_envy_free,
     _witnesses,
@@ -112,18 +113,17 @@ def _apply(market: Market, step: TarskiStep) -> tuple[frozenset, frozenset]:
     """
     Y = step.allocation
     contract = market.contract_by_id
-    moved: dict[str, tuple[frozenset, frozenset]] = {}
+    parts = _parts(market, Y)
+    moved: dict[str, tuple[int, int]] = {}  # doctor -> (own, new) part masks
     for d, gained in step.per_doctor.items():
-        own = Y & market.doctor_contracts[d]
-        new = doctor_choose(market, d, own | gained)
+        own = parts.get(d, 0)
+        new = _choose(market, d, own | _parts(market, gained)[d])
         if new != own:
             moved[d] = own, new
-    out = Y.difference(*(own for own, _ in moved.values())).union(
-        *(new for _, new in moved.values())
-    )
-    if any(
-        len({contract[x].hospital for x in new}) < len(new) for _, new in moved.values()
-    ) or any(
+    dropped = [_ids(market, d, own) for d, (own, _) in moved.items()]
+    added = [_ids(market, d, new) for d, (_, new) in moved.items()]
+    out = Y.difference(*dropped).union(*added)
+    if any(len({contract[x].hospital for x in new}) < len(new) for new in added) or any(
         len(out & market.hospital_contracts[h]) > market.hospital_by_id[h].quota
         for h in {contract[x].hospital for x in out - Y}
     ):
@@ -133,13 +133,13 @@ def _apply(market: Market, step: TarskiStep) -> tuple[frozenset, frozenset]:
         )
     touched = {contract[x].hospital for d in moved for x in market.doctor_contracts[d]}
     fresh = _blocking(market, out, touched)
-    if any(doctor_choose(market, d, new) != new for d, (_, new) in moved.items()) or _witnesses(
+    if any(_choose(market, d, new) != new for d, (_, new) in moved.items()) or _envious(
         market, out, fresh
     ):
         raise InvariantViolation(
             f"adjustment round left the envy-free set at {canon(Y)} -> {canon(out)}"
         )
-    if any(doctor_choose(market, d, own | new) != new for d, (own, new) in moved.items()):
+    if any(_choose(market, d, own | new) != new for d, (own, new) in moved.items()):
         raise InvariantViolation(
             f"adjustment round moved doctors down the Blair order at {canon(Y)}"
         )
@@ -200,9 +200,10 @@ def reduce_market(market: Market, retiring) -> Market:
     Its indexes are the parent's with the retirees and their contracts
     deleted.  A hospital that lost no contract keeps its spec and rank
     dict: a validated ranking names only the hospital's own contracts.
-    The reduced market shares the parent's choice memo.  Every survivor
-    keeps their rule and X_d, so each key (d, S) means the same in both,
-    and ``doctor_choose`` refuses a retiree before it reads the memo.
+    The reduced market shares the parent's choice memo and its bit index
+    ``contract_bit``.  Every survivor keeps their rule and X_d, so each
+    key (d, mask) means the same in both, and ``doctor_choose`` refuses
+    a retiree before it reads the memo.
     """
     retiring = frozenset(retiring)
     unknown = sorted(r for r in retiring if r not in market.doctor_by_id)
@@ -234,6 +235,7 @@ def reduce_market(market: Market, retiring) -> Market:
             **market.hospital_rank,
             **{h: {x: i for i, x in enumerate(spec.ranking)} for h, spec in changed.items()},
         },
+        contract_bit=market.contract_bit,
         _choice_cache=market._choice_cache,
     )
     return reduced
@@ -266,11 +268,10 @@ def vacancy_chain(market: Market, event: RetirementEvent) -> tuple[Market, Tarsk
     retired = frozenset().union(*(before & market.doctor_contracts[r] for r in event.retiring))
     surviving = before - retired
     blocking = _blocking(reduced, surviving, {market.contract_by_id[x].hospital for x in retired})
-    witnesses = _witnesses(reduced, surviving, blocking)
-    if witnesses:
+    if _envious(reduced, surviving, blocking):
         raise InvariantViolation(
             "surviving allocation is not envy-free in the reduced market; "
-            f"restriction={canon(surviving)} witnesses={witnesses}"
+            f"restriction={canon(surviving)} witnesses={_witnesses(reduced, surviving, blocking)}"
         )
     return reduced, _walk(reduced, surviving, blocking)
 

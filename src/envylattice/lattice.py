@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
-from .choice import doctor_choose
+from .choice import _choose, _ids, _parts
 from .classify import _ir, _require_envy_free, _search, enumerate_allocations
 from .model import (
     InvariantViolation,
@@ -53,11 +53,9 @@ def _require_ir(market: Market, Y) -> frozenset:
 
 def choice_join(market: Market, Y: frozenset, Yp: frozenset) -> frozenset:
     """Per-doctor choice from the union; the hospital side just collects."""
-    union = Y | Yp
-    out: set = set()
-    for d in market.doctors:
-        out |= doctor_choose(market, d.id, union)
-    return frozenset(out)
+    return frozenset().union(
+        *(_ids(market, d, _choose(market, d, part)) for d, part in _parts(market, Y | Yp).items())
+    )
 
 
 def blair_dominates(market: Market, Y, Yp) -> bool:
@@ -119,14 +117,14 @@ def _dominance_rows(market: Market, nodes) -> list[int]:
     """
     n = len(nodes)
     rows = [(1 << n) - 1] * n
-    for d in market.doctors:
-        own = market.doctor_contracts[d.id]
-        parts = [Y & own for Y in nodes]
-        groups: dict[frozenset, int] = {}
+    node_parts = [_parts(market, Y) for Y in nodes]
+    for d in set().union(*node_parts):  # a doctor in no part has one group
+        parts = [p.get(d, 0) for p in node_parts]
+        groups: dict[int, int] = {}
         for j, p in enumerate(parts):
             groups[p] = groups.get(p, 0) | 1 << j
         masks = {
-            p: sum(m for q, m in groups.items() if doctor_choose(market, d.id, p | q) == p)
+            p: sum(m for q, m in groups.items() if _choose(market, d, p | q) == p)
             for p in groups
         }
         rows = [row & masks[p] for row, p in zip(rows, parts)]

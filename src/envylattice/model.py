@@ -162,10 +162,23 @@ class Market:
         }
 
     @cached_property
+    def contract_bit(self) -> dict[ContractId, tuple[DoctorId, int]]:
+        """(doctor, 1 << i) for each contract of a known doctor, i its
+        position in canon(X_d).  Subsets of X_d are bitmasks in this order,
+        in the choice memo and in the axiom sweeps alike."""
+        return {
+            cid: (d, 1 << i)
+            for d, own in self.doctor_contracts.items()
+            for i, cid in enumerate(canon(own))
+        }
+
+    @cached_property
     def _choice_cache(self) -> dict:
-        # Memo of doctor_choose, keyed (doctor, frozenset of own contracts).
-        # dynamics.reduce_market shares it with the reduced market, where
-        # every surviving doctor keeps their rule and own contracts.
+        # Memo of the doctors' choices, keyed (doctor, mask of a nonempty
+        # subset of X_d), its values the chosen masks (see contract_bit).
+        # dynamics.reduce_market shares it and contract_bit with the
+        # reduced market, where every surviving doctor keeps their rule
+        # and own contracts.
         return {}
 
     @cached_property

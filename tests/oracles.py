@@ -17,6 +17,7 @@ from envylattice import (
     Market,
     MarketError,
     NotAnAllocationError,
+    TableDoctor,
     blair_dominates,
     canon,
     doctor_choose,
@@ -183,8 +184,12 @@ def doctor_choice_oracle(market: Market, doctor: str, offered) -> frozenset:
     hospitals, at most quota many.  Subsets compare by their sorted rank
     positions padded with a sentinel, so fewer high-ranked contracts beat
     more low-ranked ones exactly the way single-contract swaps dictate.
+    A table doctor's rule is its table: the row of the offer.
     """
     rule = market.doctor_by_id[doctor].choice
+    if isinstance(rule, TableDoctor):
+        own = frozenset(offered) & market.doctor_contracts[doctor]
+        return rule.table[own] if own else frozenset()
     rank = {cid: i for i, cid in enumerate(rule.ranking)}
     usable = sorted(c for c in frozenset(offered) & market.doctor_contracts[doctor] if c in rank)
     pad = len(rank)

@@ -24,6 +24,7 @@ from envylattice import (
     TableDoctor,
     UnknownIdError,
     ValidationEntry,
+    canon,
     check_lad,
     check_substitutable,
     doctor_choose,
@@ -33,6 +34,7 @@ from envylattice import (
 from envylattice import choice
 from envylattice.choice import hospital_prefers
 
+from conftest import small_markets
 from oracles import (
     doctor_choice_oracle,
     first_witness_oracle,
@@ -145,6 +147,10 @@ def test_foreign_contract_in_a_row_is_a_hard_fault():
     for check in CHECKERS.values():
         with pytest.raises(InvariantViolation, match=r"doctor d .*\('a',\)"):
             check(m, "d")
+    # the choice has no mask over X_d, so the memo refuses it the same way
+    with pytest.raises(InvariantViolation, match=r"doctor d chooses \('z',\) from \('a',\)"):
+        doctor_choose(m, "d", {"a"})
+    assert not m._choice_cache
 
 
 def test_hospital_prefers(no_lad):
@@ -473,8 +479,24 @@ def test_choice_cache_is_per_market(no_lad):
     got1 = doctor_choose(no_lad, "d1", {"x11", "x12"})
     got2 = doctor_choose(no_lad, "d1", {"x11", "x12"})
     assert got1 == got2 == frozenset({"x11", "x12"})
-    assert ("d1", frozenset({"x11", "x12"})) in no_lad._choice_cache
+    # x11 and x12 are bits 0 and 1 of canon(X_d1) = (x11, x12, x13)
+    assert no_lad._choice_cache["d1", 0b011] == 0b011
     assert set(before).issubset(no_lad._choice_cache)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_markets())
+def test_mask_reader_agrees_with_the_oracle_on_every_subset(market):
+    # a subset of X_d is a mask over canon(X_d), read through the one memo
+    for d in sorted(market.doctor_by_id):
+        own = canon(market.doctor_contracts[d])
+        assert [market.contract_bit[x] for x in own] == [(d, 1 << i) for i in range(len(own))]
+        for S in subsets_of(own):
+            mask = sum(market.contract_bit[x][1] for x in S)
+            got = choice._ids(market, d, choice._choose(market, d, mask))
+            assert got == doctor_choice_oracle(market, d, S), (d, canon(S))
+    # one flat key per nonempty subset asked: the memo's size counts menus
+    assert len(market._choice_cache) == sum(2 ** len(own) - 1 for own in market.doctor_contracts.values())
 
 
 def test_hospital_top_quota_is_set_maximal(lattice_demo):

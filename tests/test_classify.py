@@ -18,6 +18,7 @@ from envylattice import (
     Market,
     MarketError,
     ResponsiveDoctor,
+    blair_dominates,
     blocking_contracts,
     canon,
     classify,
@@ -212,9 +213,9 @@ def test_diagram_of_the_baseline(baseline_x22, monkeypatch):
     assert roots == {"ir": (5832, 5832), "envy-free": (328, 1), "ladder x56": (3456, 1)}
 
 
-def test_accounting_identity_still_refuses_unknown_doctors():
+def ghost_market() -> Market:
     # built without validation: x2 names a doctor the market does not have
-    m = Market(
+    return Market(
         doctors=(DoctorSpec(id="d1", choice=ResponsiveDoctor(quota=1, ranking=("x1",))),),
         hospitals=(HospitalSpec(id="h1", quota=2, ranking=("x1", "x2")),),
         contracts=(
@@ -222,8 +223,39 @@ def test_accounting_identity_still_refuses_unknown_doctors():
             Contract(id="x2", doctor="ghost", hospital="h1"),
         ),
     )
+
+
+def test_accounting_identity_still_refuses_unknown_doctors():
+    m = ghost_market()
     with pytest.raises(AssertionError, match="^restriction accounting identity failed$"):
         enumerate_allocations(m, "allocation")
+
+
+def test_contracts_of_unknown_doctors_keep_their_verdicts():
+    # x2 is in no doctor's part, so IR and the join ignore it, and asking
+    # its doctor about it, as a blocking read does, is a KeyError
+    m = ghost_market()
+    subsets = [frozenset(), frozenset({"x1"}), frozenset({"x2"}), frozenset({"x1", "x2"})]
+    assert all(is_individually_rational(m, Y) for Y in subsets)
+    for Y in subsets[:2]:
+        with pytest.raises(KeyError):
+            blocking_contracts(m, Y)
+    assert blocking_contracts(m, {"x2"}) == frozenset({"x1"})
+    assert blocking_contracts(m, {"x1", "x2"}) == frozenset()
+    assert not is_envy_free(m, {"x2"}) and is_stable(m, {"x1", "x2"})
+    dominating = {(canon(Y), canon(Yp)) for Y in subsets for Yp in subsets if blair_dominates(m, Y, Yp)}
+    assert dominating == {
+        ((), ()), ((), ("x2",)),
+        (("x1",), ()), (("x1",), ("x1",)), (("x1",), ("x2",)), (("x1",), ("x1", "x2")),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_markets())
+def test_envy_test_stops_where_the_witnesses_start(market):
+    for Y in enumerate_allocations(market, "allocation"):
+        blocking = classify_module._blocking(market, Y)
+        assert classify_module._envious(market, Y, blocking) == bool(brute_envy(market, Y)), canon(Y)
 
 
 def test_unknown_class(no_lad):

@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from envylattice import (
@@ -337,6 +338,8 @@ def test_reduce_market_derives_the_indexes_of_a_fresh_market(x300):
         assert reduced.hospital_by_id[h] is market.hospital_by_id[h]
         assert reduced.hospital_rank[h] is market.hospital_rank[h]
     assert reduced._choice_cache is market._choice_cache
+    assert reduced.contract_bit is market.contract_bit
+    assert all(reduced.contract_bit[x] == bit for x, bit in fresh.contract_bit.items())
     for d in sorted(reduced.doctor_by_id):
         own = fixed_point & market.doctor_contracts[d]
         for x in sorted(market.doctor_contracts[d]):
@@ -345,6 +348,31 @@ def test_reduce_market_derives_the_indexes_of_a_fresh_market(x300):
     for r in retiring:
         with pytest.raises(UnknownIdError):
             doctor_choose(reduced, r, market.doctor_contracts[r])
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_markets(), st.data())
+def test_reduced_market_reads_the_shared_memo_like_a_fresh_market(market, data):
+    for Y in enumerate_allocations(market, "allocation"):  # fill the parent's memo
+        classify_module._blocking(market, Y)
+        classify_module._ir(market, Y)
+    retiree = data.draw(st.sampled_from(sorted(market.doctor_by_id)), label="retiree")
+    reduced = reduce_market(market, {retiree})
+    assert reduced._choice_cache is market._choice_cache
+    fresh = Market(doctors=reduced.doctors, hospitals=reduced.hospitals, contracts=reduced.contracts)
+    for Y in enumerate_allocations(fresh, "allocation"):
+        assert classify_module._blocking(reduced, Y) == oracles.brute_blocking(fresh, Y), canon(Y)
+        assert classify_module._ir(reduced, Y) == oracles.brute_ir(fresh, Y), canon(Y)
+
+
+def test_walk_memo_size_is_pinned():
+    # One memo key (doctor, mask) per distinct nonempty menu a doctor is
+    # asked about; the count depends on the walk, not on the machine.
+    market = generate_responsive_market(
+        GenParams(60, 40, 1000, seed=1, doctor_quota=(1, 3), hospital_quota=(1, 4))
+    )
+    assert tarski_fixed_point(market, frozenset()).iterations == 10
+    assert len(market._choice_cache) == 1845
 
 
 # One table doctor with two contracts at a quota-2 hospital that ranks
