@@ -27,7 +27,9 @@ choice axiom is needed for this: the desired contract of a witness is
 acceptable and beats a held one, so its hospital would take it, and it
 blocks.  Each public predicate checks its input once with
 ``require_allocation`` and ``classify`` runs ``allocation_violations``
-once; everything below them is unchecked.
+once; everything below them is unchecked.  Each also builds Y's part
+masks once (``choice._parts``) and hands them to ``_ir`` and
+``_blocking``.
 
 Every condition above is local: IR is a condition on each doctor's part
 Y_d and each hospital's load, and a justified-envy witness involves one
@@ -106,32 +108,33 @@ class ClassificationReport:
     envy: tuple[EnvyWitness, ...]
 
 
-def _ir(market: Market, Y: frozenset) -> bool:
-    # IR of the allocation Y: every doctor's choice from its part keeps
-    # it, and every held contract is acceptable to its hospital; Y is an
-    # allocation, so no hospital is above quota and C_h(Y_h) == Y_h.
-    for d, part in _parts(market, Y).items():
+def _ir(market: Market, Y: frozenset, parts: dict[str, int]) -> bool:
+    # IR of the allocation Y with part masks ``parts`` (choice._parts):
+    # every doctor's choice from its part keeps it, and every held
+    # contract is acceptable to its hospital; Y is an allocation, so no
+    # hospital is above quota and C_h(Y_h) == Y_h.
+    for d, part in parts.items():
         if _choose(market, d, part) != part:
             return False
     rank = market.hospital_rank
     return all(x in rank[market.contract_by_id[x].hospital] for x in Y)
 
 
-def _blocking(market: Market, Y: frozenset, hospitals=None) -> frozenset:
+def _blocking(market: Market, Y: frozenset, parts: dict[str, int], hospitals=None) -> frozenset:
     """The contracts outside the allocation Y that block it, unchecked;
-    only those at the ids in ``hospitals`` when it is given.
+    only those at the ids in ``hospitals`` when it is given.  ``parts``
+    holds Y's part masks (choice._parts), built by the caller.
 
     Each hospital's ranking is read best first, so only acceptable
     contracts are read; a full hospital's is cut at the worst rank it
     holds (an unacceptable held contract is worst of all and cuts
     nothing).  The doctor is asked about each contract read outside Y:
-    x in C_d(Y_d | {x}), with Y_d the doctor's part mask, built once.
+    x in C_d(Y_d | {x}), with Y_d the doctor's part mask.
     """
     if hospitals is None:
         hospitals = market.hospitals
     else:
         hospitals = map(market.hospital_by_id.__getitem__, hospitals)
-    parts = _parts(market, Y)
     bit = market.contract_bit
     out = []
     for h in hospitals:
@@ -179,42 +182,48 @@ def _envious(market: Market, Y: frozenset, blocking: frozenset) -> bool:
     return False
 
 
-def _envy_free(market: Market, Y: frozenset, blocking: frozenset) -> bool:
-    return _ir(market, Y) and not _envious(market, Y, blocking)
+def _envy_free(market: Market, Y: frozenset, parts: dict[str, int], blocking: frozenset) -> bool:
+    return _ir(market, Y, parts) and not _envious(market, Y, blocking)
 
 
-def _require_envy_free(market: Market, Y) -> tuple[frozenset, frozenset]:
-    """Y, checked to be an envy-free allocation, and its blocking set."""
+def _require_envy_free(market: Market, Y) -> tuple[frozenset, frozenset, dict[str, int]]:
+    """Y, checked to be an envy-free allocation, its blocking set and
+    its part masks."""
     Y = require_allocation(market, Y)
-    blocking = _blocking(market, Y)
-    if not _envy_free(market, Y, blocking):
+    parts = _parts(market, Y)
+    blocking = _blocking(market, Y, parts)
+    if not _envy_free(market, Y, parts, blocking):
         raise MarketError(f"allocation {canon(Y)} is not envy-free")
-    return Y, blocking
+    return Y, blocking, parts
 
 
 def is_individually_rational(market: Market, Y) -> bool:
-    return _ir(market, require_allocation(market, Y))
+    Y = require_allocation(market, Y)
+    return _ir(market, Y, _parts(market, Y))
 
 
 def blocking_contracts(market: Market, Y) -> frozenset:
     """All contracts outside Y that block Y.  Requires an allocation."""
-    return _blocking(market, require_allocation(market, Y))
+    Y = require_allocation(market, Y)
+    return _blocking(market, Y, _parts(market, Y))
 
 
 def justified_envy_witnesses(market: Market, Y) -> tuple[EnvyWitness, ...]:
     """Every justified-envy instance at Y, deterministically ordered."""
     Y = require_allocation(market, Y)
-    return _witnesses(market, Y, _blocking(market, Y))
+    return _witnesses(market, Y, _blocking(market, Y, _parts(market, Y)))
 
 
 def is_envy_free(market: Market, Y) -> bool:
     Y = require_allocation(market, Y)
-    return _envy_free(market, Y, _blocking(market, Y))
+    parts = _parts(market, Y)
+    return _envy_free(market, Y, parts, _blocking(market, Y, parts))
 
 
 def is_stable(market: Market, Y) -> bool:
     Y = require_allocation(market, Y)
-    return _ir(market, Y) and not _blocking(market, Y)
+    parts = _parts(market, Y)
+    return _ir(market, Y, parts) and not _blocking(market, Y, parts)
 
 
 def classify(market: Market, Y) -> ClassificationReport:
@@ -225,8 +234,9 @@ def classify(market: Market, Y) -> ClassificationReport:
             is_allocation=False, violations=violations, is_ir=False,
             is_envy_free=False, is_stable=False, blocking=frozenset(), envy=(),
         )
-    ir = _ir(market, Y)
-    blocking = _blocking(market, Y)
+    parts = _parts(market, Y)
+    ir = _ir(market, Y, parts)
+    blocking = _blocking(market, Y, parts)
     envy = _witnesses(market, Y, blocking)
     return ClassificationReport(
         is_allocation=True, violations=(), is_ir=ir,

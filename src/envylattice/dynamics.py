@@ -15,7 +15,9 @@ envy by its blocking set.  Each round takes the starred set from the
 blocking set in hand, lets the doctors with stars re-choose (IR keeps
 every other doctor's part), and re-reads only what moved.  The image's
 blocking set stays exact and gives the envy-free assertion, the next
-step of the trace and the stop test.  The walk stops on the
+step of the trace and the stop test.  The walk carries the doctors'
+part masks (``choice._parts``) from round to round, built once at the
+start and updated only for the doctors who moved.  It stops on the
 first state with an empty blocking set, and that state passed the
 envy-free assertion, so it is stable with no further check.
 ``tarski_step`` and ``star_blocking`` check their input once and run
@@ -24,13 +26,17 @@ the same round.
 The vacancy-chain operation applies this to retirements: deleting some
 doctors (and all their contracts) from a market leaves the surviving
 part of any stable allocation envy-free in the reduced market, and the
-iteration re-stabilizes it; only the hospitals that lost a retiree's
-contract are read for the survivors' blocking set.
+iteration re-stabilizes it.  A chain pays for what it moves.  The start
+is checked stable once per market and remembered with its part masks;
+the reduced market is spliced from the parent's tuples and indexes,
+visiting only the retirees' contracts and the hospitals that lost one;
+and only those hospitals are read for the survivors' blocking set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .choice import _choose, _ids, _parts, hospital_prefers
 from .classify import (
@@ -92,14 +98,16 @@ def _step(market: Market, Y: frozenset, blocking: frozenset) -> TarskiStep:
     )
 
 
-def _apply(market: Market, step: TarskiStep) -> tuple[frozenset, frozenset]:
-    """One adjustment round from the envy-free ``step.allocation``.
+def _apply(market: Market, step: TarskiStep, parts: dict[str, int]) -> tuple[frozenset, frozenset]:
+    """One adjustment round from the envy-free ``step.allocation``, whose
+    part masks are ``parts``.
 
     Each doctor with stars re-chooses from their part plus the stars;
     every other doctor keeps their part, which IR makes their choice.
     Returns the image and its blocking set after asserting both
-    theorems on it.  An image that is not an allocation breaks them
-    too, and is an InvariantViolation.
+    theorems on it, and updates ``parts`` in place to the image's: only
+    the moved doctors' entries change.  An image that is not an
+    allocation breaks the theorems too, and is an InvariantViolation.
 
     Whether x blocks depends only on its doctor's part and its
     hospital's holdings, so only the hospitals where a moved doctor
@@ -113,11 +121,11 @@ def _apply(market: Market, step: TarskiStep) -> tuple[frozenset, frozenset]:
     """
     Y = step.allocation
     contract = market.contract_by_id
-    parts = _parts(market, Y)
+    bit = market.contract_bit
     moved: dict[str, tuple[int, int]] = {}  # doctor -> (own, new) part masks
     for d, gained in step.per_doctor.items():
         own = parts.get(d, 0)
-        new = _choose(market, d, own | _parts(market, gained)[d])
+        new = _choose(market, d, own | sum([bit[x][1] for x in gained]))
         if new != own:
             moved[d] = own, new
     dropped = [_ids(market, d, own) for d, (own, _) in moved.items()]
@@ -131,8 +139,9 @@ def _apply(market: Market, step: TarskiStep) -> tuple[frozenset, frozenset]:
             f"adjustment round produced a non-allocation at {canon(Y)}: "
             + "; ".join(allocation_violations(market, out))
         )
+    parts.update((d, new) for d, (_, new) in moved.items())
     touched = {contract[x].hospital for d in moved for x in market.doctor_contracts[d]}
-    fresh = _blocking(market, out, touched)
+    fresh = _blocking(market, out, parts, touched)
     if any(_choose(market, d, new) != new for d, (_, new) in moved.items()) or _envious(
         market, out, fresh
     ):
@@ -148,12 +157,14 @@ def _apply(market: Market, step: TarskiStep) -> tuple[frozenset, frozenset]:
 
 def star_blocking(market: Market, Y) -> frozenset:
     """Each hospital's best blocking contract at Y (its ranking decides)."""
-    return _step(market, *_require_envy_free(market, Y)).starred
+    Y, blocking, _ = _require_envy_free(market, Y)
+    return _step(market, Y, blocking).starred
 
 
 def tarski_step(market: Market, Y) -> frozenset:
     """One adjustment round.  Requires and returns an envy-free allocation."""
-    return _apply(market, _step(market, *_require_envy_free(market, Y)))[0]
+    Y, blocking, parts = _require_envy_free(market, Y)
+    return _apply(market, _step(market, Y, blocking), parts)[0]
 
 
 def default_iteration_cap(market: Market) -> int:
@@ -173,8 +184,9 @@ def tarski_fixed_point(market: Market, Y) -> TarskiTrace:
     return _walk(market, *_require_envy_free(market, Y))
 
 
-def _walk(market: Market, Y: frozenset, blocking: frozenset) -> TarskiTrace:
-    # The walk from the envy-free Y with blocking set ``blocking``.
+def _walk(market: Market, Y: frozenset, blocking: frozenset, parts: dict[str, int]) -> TarskiTrace:
+    # The walk from the envy-free Y with blocking set ``blocking`` and
+    # part masks ``parts``, which the rounds update in place.
     cap = default_iteration_cap(market)
     steps = [_step(market, Y, blocking)]
     while steps[-1].blocking:
@@ -183,7 +195,7 @@ def _walk(market: Market, Y: frozenset, blocking: frozenset) -> TarskiTrace:
                 f"no fixed point within {cap} iterations; the market "
                 "violates the choice axioms"
             )
-        Y, blocking = _apply(market, steps[-1])
+        Y, blocking = _apply(market, steps[-1], parts)
         steps.append(_step(market, Y, blocking))
     return TarskiTrace(steps=tuple(steps), fixed_point=Y, iterations=len(steps) - 1)
 
@@ -197,13 +209,19 @@ class RetirementEvent:
 def reduce_market(market: Market, retiring) -> Market:
     """The market without the retiring doctors and all their contracts.
 
-    Its indexes are the parent's with the retirees and their contracts
-    deleted.  A hospital that lost no contract keeps its spec and rank
-    dict: a validated ranking names only the hospital's own contracts.
+    Only the retirees' contracts and the hospitals that lost one are
+    visited in Python.  The ``contracts``, ``doctors`` and ``hospitals``
+    tuples are the parent's, in its order, cut around the retirees'
+    positions (``Market._positions``) by C-level slices; a hospital that
+    lost a contract gets a new spec in its place.  The indexes are the
+    parent's, copied, with the retirees and their contracts deleted.  A
+    hospital that lost no contract keeps its spec and rank dict: a
+    validated ranking names only the hospital's own contracts.
     The reduced market shares the parent's choice memo and its bit index
     ``contract_bit``.  Every survivor keeps their rule and X_d, so each
     key (d, mask) means the same in both, and ``doctor_choose`` refuses
-    a retiree before it reads the memo.
+    a retiree before it reads the memo.  It does not share the memo of
+    checked stable allocations: stability depends on the market.
     """
     retiring = frozenset(retiring)
     unknown = sorted(r for r in retiring if r not in market.doctor_by_id)
@@ -215,12 +233,16 @@ def reduce_market(market: Market, retiring) -> Market:
         h.id: HospitalSpec(
             id=h.id, quota=h.quota, ranking=tuple(x for x in h.ranking if x not in dead)
         )
-        for h in market.hospitals if h.id in lost
+        for h in map(market.hospital_by_id.get, lost) if h is not None
     }
+    contract_at, doctor_at, hospital_at = market._positions
+    hospitals = list(market.hospitals)
+    for h, spec in changed.items():
+        hospitals[hospital_at[h]] = spec
     reduced = Market(
-        doctors=tuple(d for d in market.doctors if d.id not in retiring),
-        hospitals=tuple(changed.get(h.id, h) for h in market.hospitals),
-        contracts=tuple(c for c in market.contracts if c.id not in dead),
+        doctors=_cut(market.doctors, map(doctor_at.__getitem__, retiring)),
+        hospitals=tuple(hospitals),
+        contracts=_cut(market.contracts, map(contract_at.__getitem__, dead)),
     )
     vars(reduced).update(
         contract_by_id=_without(market.contract_by_id, dead),
@@ -241,6 +263,15 @@ def reduce_market(market: Market, retiring) -> Market:
     return reduced
 
 
+def _cut(items: tuple, positions) -> tuple:
+    """``items`` without the ones at ``positions``: the slices between
+    them, joined in order."""
+    cuts = sorted(positions)
+    return tuple(chain.from_iterable(
+        items[a + 1:b] for a, b in zip([-1, *cuts], [*cuts, len(items)])
+    ))
+
+
 def _without(index: dict, keys) -> dict:
     out = dict(index)
     for key in keys:
@@ -258,22 +289,36 @@ def vacancy_chain(market: Market, event: RetirementEvent) -> tuple[Market, Tarsk
     The survivors keep their parts, so they stay IR, and ``before`` is
     stable, so a contract can block the survivors only at a hospital
     that lost a retiree's contract; only those hospitals are read.
+
+    The stability check runs once per market and start: a ``before``
+    that passes it is kept in ``Market._stable_cache`` with its part
+    masks, and a later chain from it skips the check and reads them
+    there.  A refused ``before`` is not kept.  The walk carries a copy
+    of the survivors' masks.
     """
     if not event.retiring:
         raise MarketError("retiring set must be nonempty")
-    before = require_allocation(market, event.before)
-    if not _ir(market, before) or _blocking(market, before):
-        raise MarketError(f"allocation {canon(before)} is not stable in this market")
+    before = frozenset(event.before)
+    checked = market._stable_cache.get(before)
+    if checked is None:
+        require_allocation(market, before)
+        checked = _parts(market, before)
+        if not _ir(market, before, checked) or _blocking(market, before, checked):
+            raise MarketError(f"allocation {canon(before)} is not stable in this market")
+        market._stable_cache[before] = checked
     reduced = reduce_market(market, event.retiring)
     retired = frozenset().union(*(before & market.doctor_contracts[r] for r in event.retiring))
     surviving = before - retired
-    blocking = _blocking(reduced, surviving, {market.contract_by_id[x].hospital for x in retired})
+    parts = dict(checked)
+    for r in event.retiring:
+        parts.pop(r, None)
+    blocking = _blocking(reduced, surviving, parts, {market.contract_by_id[x].hospital for x in retired})
     if _envious(reduced, surviving, blocking):
         raise InvariantViolation(
             "surviving allocation is not envy-free in the reduced market; "
             f"restriction={canon(surviving)} witnesses={_witnesses(reduced, surviving, blocking)}"
         )
-    return reduced, _walk(reduced, surviving, blocking)
+    return reduced, _walk(reduced, surviving, blocking, parts)
 
 
 @dataclass(frozen=True)
@@ -315,13 +360,13 @@ def verify_lad_predictions(market: Market, Y) -> TheoremReport:
     * stable_counts_constant: every agent signs the same number of
       contracts in every stable allocation.
     """
-    Y, blocking = _require_envy_free(market, Y)
+    Y, blocking, parts = _require_envy_free(market, Y)
     stable = enumerate_allocations(market, "stable")
     lad_failures = tuple(
         e.agent for e in validate_market(market).entries if e.prop == "lad" and not e.passed
     )
     y_hosp = _extremum(_stable_extremes(market, stable)[1])
-    trace = _walk(market, Y, blocking)
+    trace = _walk(market, Y, blocking, parts)
     joined = choice_join(market, Y, y_hosp)
 
     checks: dict[str, CheckVerdict] = {}

@@ -46,7 +46,7 @@ from .model import (
 
 def _require_ir(market: Market, Y) -> frozenset:
     Y = require_allocation(market, Y)
-    if not _ir(market, Y):
+    if not _ir(market, Y, _parts(market, Y)):
         raise MarketError(f"allocation {canon(Y)} is not individually rational")
     return Y
 

@@ -186,6 +186,24 @@ class Market:
         # Choice-axiom outcomes of each doctor, keyed by doctor id.
         return {}
 
+    @cached_property
+    def _stable_cache(self) -> dict:
+        # The allocations dynamics.vacancy_chain has checked to be stable
+        # here (an allocation, IR, no blocking contract), each mapped to
+        # its part masks (choice._parts), which no reader may change.  A
+        # refused allocation is never stored.  Stability depends on the
+        # market, so reduce_market leaves the reduced market its own.
+        return {}
+
+    @cached_property
+    def _positions(self) -> tuple[dict, dict, dict]:
+        # The position of each contract, doctor and hospital id in its
+        # tuple; dynamics.reduce_market cuts the tuples at them.
+        return tuple(
+            {item.id: i for i, item in enumerate(items)}
+            for items in (self.contracts, self.doctors, self.hospitals)
+        )
+
 
 def canon(Y) -> tuple[ContractId, ...]:
     """Canonical form of a contract set: sorted tuple of ids."""

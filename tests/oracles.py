@@ -13,6 +13,7 @@ import math
 import random
 
 from envylattice import (
+    HospitalSpec,
     InvariantViolation,
     Market,
     MarketError,
@@ -28,7 +29,6 @@ from envylattice import (
     is_individually_rational,
     is_stable,
     join,
-    reduce_market,
     restrict,
 )
 from envylattice import choice
@@ -453,9 +453,28 @@ def stepwise_trace(market: Market, Y, cap: int | None = None) -> TarskiTrace:
     return TarskiTrace(steps=tuple(steps), fixed_point=Y, iterations=len(steps) - 1)
 
 
+def filtered_market(market: Market, retiring) -> Market:
+    """A fresh market without the retiring doctors and their contracts:
+    the parent's tuples filtered in order, every hospital's ranking
+    without the dropped contracts.  Refuses an unknown doctor id."""
+    unknown = sorted(set(retiring) - market.doctor_by_id.keys())
+    if unknown:
+        raise MarketError(f"unknown doctor ids: {unknown}")
+    dead = {c.id for c in market.contracts if c.doctor in retiring}
+    return Market(
+        doctors=tuple(d for d in market.doctors if d.id not in retiring),
+        hospitals=tuple(
+            HospitalSpec(id=h.id, quota=h.quota, ranking=tuple(x for x in h.ranking if x not in dead))
+            for h in market.hospitals
+        ),
+        contracts=tuple(c for c in market.contracts if c.id not in dead),
+    )
+
+
 def stepwise_vacancy(market: Market, event, cap: int | None = None) -> tuple[Market, TarskiTrace]:
-    """A vacancy chain: the stable check, the reduced market, the
-    survivors' envy check, then ``stepwise_trace``."""
+    """A vacancy chain: the stable check, the reduced market (a fresh
+    ``filtered_market``, not ``reduce_market``), the survivors' envy
+    check, then ``stepwise_trace``."""
     if not event.retiring:
         raise MarketError("retiring set must be nonempty")
     before = frozenset(event.before)
@@ -463,7 +482,7 @@ def stepwise_vacancy(market: Market, event, cap: int | None = None) -> tuple[Mar
         raise NotAnAllocationError(f"not an allocation: {canon(before)}")
     if not brute_ir(market, before) or brute_blocking(market, before):
         raise MarketError(f"allocation {canon(before)} is not stable in this market")
-    reduced = reduce_market(market, event.retiring)
+    reduced = filtered_market(market, event.retiring)
     surviving = frozenset(
         x for x in before if market.contract_by_id[x].doctor not in event.retiring
     )

@@ -30,6 +30,7 @@ from envylattice import (
     is_stable,
     justified_envy_witnesses,
 )
+from envylattice.choice import _parts
 
 from conftest import (
     DOCTOR_OPT,
@@ -254,7 +255,7 @@ def test_contracts_of_unknown_doctors_keep_their_verdicts():
 @given(small_markets())
 def test_envy_test_stops_where_the_witnesses_start(market):
     for Y in enumerate_allocations(market, "allocation"):
-        blocking = classify_module._blocking(market, Y)
+        blocking = classify_module._blocking(market, Y, _parts(market, Y))
         assert classify_module._envious(market, Y, blocking) == bool(brute_envy(market, Y)), canon(Y)
 
 

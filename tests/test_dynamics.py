@@ -21,6 +21,7 @@ from envylattice import (
     InvariantViolation,
     Market,
     MarketError,
+    NotAnAllocationError,
     RetirementEvent,
     TableDoctor,
     UnknownIdError,
@@ -44,6 +45,7 @@ from envylattice import (
     vacancy_chain,
     verify_lad_predictions,
 )
+from envylattice.choice import _parts
 from envylattice.dynamics import default_iteration_cap
 
 from conftest import (
@@ -57,6 +59,7 @@ from conftest import (
 )
 
 # the modules, which the package's functions of the same names shadow
+choice_module = importlib.import_module("envylattice.choice")
 classify_module = importlib.import_module("envylattice.classify")
 dynamics_module = importlib.import_module("envylattice.dynamics")
 lattice_module = importlib.import_module("envylattice.lattice")
@@ -321,13 +324,18 @@ def test_walk_and_chains_match_stepwise_oracle_at_scale(x300):
         reduced, chain = vacancy_chain(market, event)
         assert (reduced, chain) == oracles.stepwise_vacancy(market, event), sorted(retiring)
         for step in chain.steps:
-            assert step.blocking == classify_module._blocking(reduced, step.allocation)
+            assert step.blocking == classify_module._blocking(
+                reduced, step.allocation, _parts(reduced, step.allocation)
+            )
 
 
 def test_reduce_market_derives_the_indexes_of_a_fresh_market(x300):
     market, fixed_point = x300
     retiring = {"d3", "d11"}
     reduced = reduce_market(market, retiring)
+    filtered = oracles.filtered_market(market, retiring)
+    for items in ("contracts", "doctors", "hospitals"):
+        assert getattr(reduced, items) == getattr(filtered, items), items
     fresh = Market(doctors=reduced.doctors, hospitals=reduced.hospitals, contracts=reduced.contracts)
     for index in ("contract_by_id", "doctor_by_id", "hospital_by_id",
                   "doctor_contracts", "hospital_contracts", "hospital_rank"):
@@ -354,15 +362,15 @@ def test_reduce_market_derives_the_indexes_of_a_fresh_market(x300):
 @given(small_markets(), st.data())
 def test_reduced_market_reads_the_shared_memo_like_a_fresh_market(market, data):
     for Y in enumerate_allocations(market, "allocation"):  # fill the parent's memo
-        classify_module._blocking(market, Y)
-        classify_module._ir(market, Y)
+        classify_module._blocking(market, Y, _parts(market, Y))
+        classify_module._ir(market, Y, _parts(market, Y))
     retiree = data.draw(st.sampled_from(sorted(market.doctor_by_id)), label="retiree")
     reduced = reduce_market(market, {retiree})
     assert reduced._choice_cache is market._choice_cache
     fresh = Market(doctors=reduced.doctors, hospitals=reduced.hospitals, contracts=reduced.contracts)
     for Y in enumerate_allocations(fresh, "allocation"):
-        assert classify_module._blocking(reduced, Y) == oracles.brute_blocking(fresh, Y), canon(Y)
-        assert classify_module._ir(reduced, Y) == oracles.brute_ir(fresh, Y), canon(Y)
+        assert classify_module._blocking(reduced, Y, _parts(reduced, Y)) == oracles.brute_blocking(fresh, Y), canon(Y)
+        assert classify_module._ir(reduced, Y, _parts(reduced, Y)) == oracles.brute_ir(fresh, Y), canon(Y)
 
 
 def test_walk_memo_size_is_pinned():
@@ -373,6 +381,86 @@ def test_walk_memo_size_is_pinned():
     )
     assert tarski_fixed_point(market, frozenset()).iterations == 10
     assert len(market._choice_cache) == 1845
+
+
+def _fresh(market: Market) -> Market:
+    """A copy of ``market`` with every cache empty."""
+    return Market(doctors=market.doctors, hospitals=market.hospitals, contracts=market.contracts)
+
+
+def test_checked_starts_are_remembered_per_market(no_lad):
+    market = _fresh(no_lad)
+    event = RetirementEvent(retiring=frozenset({"d1"}), before=HOSPITAL_OPT)
+    reduced, trace = vacancy_chain(market, event)
+    assert market._stable_cache == {HOSPITAL_OPT: _parts(market, HOSPITAL_OPT)}
+    assert vacancy_chain(market, event) == (reduced, trace)
+    # the reduced market has a memo of its own, which no chain has filled
+    assert reduced._stable_cache is not market._stable_cache
+    assert reduced._stable_cache == {}
+    # HOSPITAL_OPT holds x13, a retiree's contract: checked in the parent,
+    # it is not even a contract set of the reduced market
+    with pytest.raises(UnknownIdError):
+        vacancy_chain(reduced, RetirementEvent(retiring=frozenset({"d2"}), before=HOSPITAL_OPT))
+    vacancy_chain(reduced, RetirementEvent(retiring=frozenset({"d2"}), before=trace.fixed_point))
+    assert reduced._stable_cache.keys() == {trace.fixed_point}
+    assert market._stable_cache.keys() == {HOSPITAL_OPT}
+
+
+def test_warm_memo_still_refuses(no_lad):
+    market = _fresh(no_lad)
+    vacancy_chain(market, RetirementEvent(retiring=frozenset({"d1"}), before=DOCTOR_OPT))
+    assert market._stable_cache.keys() == {DOCTOR_OPT}
+    for _ in range(2):  # a refused start is checked, and refused, again
+        with pytest.raises(MarketError) as refused:
+            vacancy_chain(market, RetirementEvent(retiring=frozenset({"d1"}), before=EF_MIDDLE))
+        assert str(refused.value) == "allocation ('x11', 'x23') is not stable in this market"
+        # x11 and x21 both sign at h1, whose quota is 1
+        with pytest.raises(NotAnAllocationError):
+            vacancy_chain(market, RetirementEvent(retiring=frozenset({"d1"}), before={"x11", "x21"}))
+        with pytest.raises(MarketError, match="unknown doctor ids"):
+            vacancy_chain(market, RetirementEvent(retiring=frozenset({"d9"}), before=DOCTOR_OPT))
+    assert market._stable_cache.keys() == {DOCTOR_OPT}
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_markets())
+def test_chains_cold_and_warm_match_stepwise_oracle(market):
+    for before in enumerate_allocations(market, "stable"):
+        for retiree in sorted(market.doctor_by_id):
+            event = RetirementEvent(retiring=frozenset({retiree}), before=before)
+            expected = _outcome(oracles.stepwise_vacancy, market, event)
+            fresh = _fresh(market)
+            assert _outcome(vacancy_chain, fresh, event) == expected, (canon(before), retiree)
+            # kept exactly when the start passed the stable check
+            assert (before in fresh._stable_cache) == (expected is not MarketError)
+            assert _outcome(vacancy_chain, fresh, event) == expected, (canon(before), retiree)
+
+
+@pytest.fixture
+def parts_calls(monkeypatch):
+    """The sizes of the contract sets ``choice._parts`` is called on,
+    through every module that binds it."""
+    calls = []
+    parts = choice_module._parts
+
+    def counted(market, Y):
+        calls.append(len(Y))
+        return parts(market, Y)
+
+    for owner in (choice_module, classify_module, dynamics_module, lattice_module):
+        monkeypatch.setattr(owner, "_parts", counted)
+    return calls
+
+
+def test_walk_and_warm_chains_build_masks_once(x300, parts_calls):
+    market, fixed_point = x300
+    tarski_fixed_point(market, frozenset())
+    assert parts_calls == [0]  # the start's, carried through every round
+    vacancy_chain(market, RetirementEvent(retiring=frozenset({"d1"}), before=fixed_point))
+    parts_calls.clear()
+    for retiring in _retirements(market):
+        vacancy_chain(market, RetirementEvent(retiring=retiring, before=fixed_point))
+    assert parts_calls == []
 
 
 # One table doctor with two contracts at a quota-2 hospital that ranks
@@ -484,19 +572,22 @@ def test_walk_computes_blocking_once_per_state(no_lad, lattice_demo, counted):
     assert trace.iterations > 1
 
 
-def test_chain_reads_only_the_hospitals_it_touched(x300, monkeypatch):
-    market, fixed_point = x300
+def test_chain_reads_only_the_hospitals_it_touched(monkeypatch):
+    # A fresh market: the x300 fixture's memo of checked starts is warmed
+    # by other tests, and here the first chain must check its start.
+    market = generate_responsive_market(X300)
+    fixed_point = tarski_fixed_point(market, frozenset()).fixed_point
     passed = []
     blocking = classify_module._blocking
 
-    def recorded(market, Y, hospitals=None):
+    def recorded(market, Y, parts, hospitals=None):
         passed.append(hospitals)
-        return blocking(market, Y, hospitals)
+        return blocking(market, Y, parts, hospitals)
 
     monkeypatch.setattr(dynamics_module, "_blocking", recorded)
     contract = market.contract_by_id
     local = []
-    for d in sorted(market.doctor_by_id):
+    for i, d in enumerate(sorted(market.doctor_by_id)):
         passed.clear()
         _, trace = vacancy_chain(
             market, RetirementEvent(retiring=frozenset({d}), before=fixed_point)
@@ -507,9 +598,15 @@ def test_chain_reads_only_the_hospitals_it_touched(x300, monkeypatch):
             for own in market.doctor_contracts.values():
                 if a.allocation & own != b.allocation & own:
                     touched |= {contract[x].hospital for x in own}
-        # the stability check of the start reads every hospital
-        assert passed[0] is None and len(passed) == trace.iterations + 2, d
-        assert set().union(*passed[1:]) <= touched, d
+        if i == 0:
+            # the first chain checks its start stable: one pass over every hospital
+            assert passed[0] is None and len(passed) == trace.iterations + 2, d
+            reads = passed[1:]
+        else:
+            # later chains from the same start read the memo, not every hospital
+            assert len(passed) == trace.iterations + 1, d
+            reads = passed
+        assert None not in reads and set().union(*reads) <= touched, d
         local.append(len(touched) < len(market.hospitals))
     assert any(local)
 
